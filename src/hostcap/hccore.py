@@ -19,13 +19,14 @@ is maximised constructively rather than by a general NLP solver.  The stages:
    contribution at its maximum feasible value.
 4. ``adjust_power_factor`` — generator buses whose reactive injection
    violates |Q| <= sqrt(1 - eta^2)/eta * |P| are switched to fixed-(P, Q)
-   at the bound and the voltages re-solved by a damped sensitivity
-   iteration.
+   at the bound and the voltages re-solved by a damped Newton iteration.
 
 ``solve_hc`` runs the full pipeline and re-verifies thermal and power-factor
-feasibility jointly.  The construction assumes off-diagonal conductances are
-non-positive (true for any branch with r >= 0); networks violating that are
-refused rather than silently mis-solved.
+feasibility jointly.  Every feasibility verdict, here and in the oracle,
+partition and sequence modules, comes from :func:`verify` and its single
+tolerance table ``TOL``.  The construction assumes off-diagonal
+conductances are non-positive (true for any branch with r >= 0); networks
+violating that are refused rather than silently mis-solved.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .powerflow import (
 __all__ = [
     "ConstraintSet",
     "HCSolution",
+    "LIMITS",
+    "TOL",
+    "Verdict",
     "InfeasibleError",
     "AdjustmentError",
     "BoundaryConflict",
@@ -64,12 +68,18 @@ __all__ = [
     "finalize_solution",
     "power_factors",
     "thermal_utilization",
+    "verify",
 ]
 
-THERMAL_RTOL = 1e-9   # accepted overshoot on |I|/C
-PF_ATOL = 1e-6        # accepted undershoot on pf vs eta
-BOX_ATOL = 1e-9       # accepted overshoot on the magnitude box
-BINDING_TOL = 1e-6    # constraint slack below which it is reported binding
+# The one tolerance table behind every feasibility verdict.
+TOL = {
+    "box": 1e-9,       # p.u. beyond [v_min, v_max]
+    "theta": 1e-9,     # rad beyond theta_max on a branch
+    "thermal": 1e-9,   # relative overshoot of |I| over C
+    "pf": 1e-6,        # undershoot of |P|/|S| below eta
+    "s_floor": 1e-9,   # |S| at or below which a generator counts as unity pf
+    "binding": 1e-6,   # margin below which a limit is reported binding
+}
 
 
 class InfeasibleError(RuntimeError):
@@ -144,12 +154,18 @@ def pf_q_bounds(p: float, eta: float) -> tuple[float, float]:
     return (-half_width, half_width)
 
 
-def power_factors(network: Network, inj: InjectionProfile) -> np.ndarray:
-    """|P|/|S| per bus; buses with zero apparent power count as unity."""
-    s = np.hypot(inj.p, inj.q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pf = np.where(s > 0, np.abs(inj.p) / np.where(s > 0, s, 1.0), 1.0)
+def _power_factor(s: np.ndarray) -> np.ndarray:
+    mag = np.abs(s)
+    pf = np.abs(s.real)
+    floored = mag <= TOL["s_floor"]
+    pf /= np.maximum(mag, TOL["s_floor"], out=mag)
+    pf[floored] = 1.0
     return pf
+
+
+def power_factors(network: Network, inj: InjectionProfile) -> np.ndarray:
+    """|P|/|S| per bus; buses with |S| <= TOL["s_floor"] count as unity."""
+    return _power_factor(inj.s)
 
 
 def branch_current(network: Network, state: VoltageState, branch: Branch) -> complex:
@@ -160,15 +176,118 @@ def branch_current(network: Network, state: VoltageState, branch: Branch) -> com
 
 def thermal_utilization(network: Network, state: VoltageState) -> float:
     """max over limited branches of |I|/C; 0.0 when nothing is limited."""
-    worst = 0.0
-    for br in network.branches:
-        if br.thermal_limit is not None:
-            if br.thermal_limit == 0:
-                cur = abs(branch_current(network, state, br))
-                worst = max(worst, math.inf if cur > 0 else 0.0)
-            else:
-                worst = max(worst, abs(branch_current(network, state, br)) / br.thermal_limit)
-    return worst
+    v = state.phasors
+    cur = np.abs(network.branch_y * (v[network.branch_from] - v[network.branch_to]))
+    with np.errstate(divide="ignore"):  # a zero limit carrying current is infinitely over
+        ratio = np.divide(cur, network.branch_limit, out=np.zeros_like(cur), where=cur > 0)
+    return float(np.max(ratio, initial=0.0))
+
+
+# --- feasibility verifier ------------------------------------------------------
+
+LIMITS = ("v_max", "v_min", "theta", "thermal", "pf")
+# report order: per bus v_max then v_min, per branch theta then thermal, then pf per bus
+_REPORT_GROUPS = (("v_max", "v_min"), ("theta", "thermal"), ("pf",))
+
+
+class Verdict:
+    """Margins and violations of voltage phasors ``v`` (shape ``(..., n)``) per limit.
+
+    ``v_max``, ``v_min`` (slack exempt) and ``pf`` (generators, when
+    ``c.eta`` is set) hold per bus, ``theta`` and ``thermal`` (limited
+    branches) per branch.  A margin is the distance to the bound in the
+    limit's unit (p.u. voltage, rad, p.u. current, |P|/|S|), negative outside
+    it, +inf where the limit does not apply; a violation is a margin below
+    minus the limit's ``TOL`` entry.  Limits are evaluated when first read.
+    """
+
+    def __init__(self, network: Network, c: ConstraintSet, v: np.ndarray, s: np.ndarray | None):
+        self.network, self.c = network, c
+        # element-major views, so per-element work and reductions run over whole batches at once
+        self.v = np.moveaxis(np.asarray(v, dtype=complex), -1, 0)
+        self.s = None if s is None else np.moveaxis(np.asarray(s), -1, 0)
+        self._parts: dict[str, tuple] = {}
+
+    def _part(self, limit: str) -> tuple:
+        """(elements the limit applies to, margins there, violation tolerance there)."""
+        if limit not in self._parts:
+            self._parts[limit] = getattr(self, "_" + limit)()  # _v_max, _v_min, _theta, _thermal, _pf
+        return self._parts[limit]
+
+    def _full(self, limit: str, values: np.ndarray, fill) -> np.ndarray:
+        size = len(self.network.branches) if limit in ("theta", "thermal") else self.network.n
+        out = np.full((size,) + self.v.shape[1:], fill)
+        out[self._part(limit)[0]] = values
+        return np.moveaxis(out, 0, -1)
+
+    def margin(self, limit: str) -> np.ndarray:
+        """Signed margin of every element against ``limit``."""
+        return self._full(limit, self._part(limit)[1], np.inf)
+
+    def violated(self, limit: str) -> np.ndarray:
+        """True where an element violates ``limit``."""
+        _, m, tol = self._part(limit)
+        return self._full(limit, m < -tol, False)
+
+    def ok(self, *limits: str) -> np.ndarray:
+        """True where no element violates any of ``limits`` (all by default)."""
+        bad = np.zeros(self.v.shape[1:], dtype=bool)
+        for limit in limits or LIMITS:
+            _, m, tol = self._part(limit)
+            bad |= (m < -tol).any(axis=0)
+        return ~bad
+
+    def failures(self) -> list[tuple[str, int]]:
+        """(limit, element) pairs violated at a single state, in report order."""
+        return _in_order(self.violated)
+
+    def binding(self) -> tuple[tuple[str, int], ...]:
+        """(limit, element) pairs within ``TOL["binding"]`` of their bound, in report order."""
+        return tuple(_in_order(lambda k: self.margin(k) < TOL["binding"]))
+
+    def _v_max(self):
+        free = np.flatnonzero(np.arange(self.network.n) != self.network.slack_index)
+        return free, self.c.v_max - np.abs(self.v[free]), TOL["box"]
+
+    def _v_min(self):
+        free = np.flatnonzero(np.arange(self.network.n) != self.network.slack_index)
+        return free, np.abs(self.v[free]) - self.c.v_min, TOL["box"]
+
+    def _theta(self):
+        net = self.network
+        dth = np.angle(self.v[net.branch_from] * np.conj(self.v[net.branch_to]))
+        return np.arange(len(net.branches)), self.c.theta_max - np.abs(dth), TOL["theta"]
+
+    def _thermal(self):
+        net = self.network
+        idx = np.flatnonzero(np.isfinite(net.branch_limit))
+        per_branch = (-1,) + (1,) * (self.v.ndim - 1)  # broadcast over the batch axes
+        y, cap = net.branch_y[idx].reshape(per_branch), net.branch_limit[idx].reshape(per_branch)
+        diff = self.v[net.branch_from[idx]] - self.v[net.branch_to[idx]]
+        diff *= y
+        return idx, cap - np.abs(diff), TOL["thermal"] * cap  # the tolerance is relative to C
+
+    def _pf(self):
+        if self.c.eta is None:
+            return np.array([], dtype=int), np.empty((0,) + self.v.shape[1:]), TOL["pf"]
+        gen = np.array([b.id for b in self.network.buses if b.kind is BusKind.GEN], dtype=int)
+        s = self.s if self.s is not None else self.v * np.conj(np.tensordot(self.network.ybus, self.v, 1))
+        pf = _power_factor(s[gen])
+        pf -= self.c.eta
+        return gen, pf, TOL["pf"]
+
+
+def _in_order(mask_of) -> list[tuple[str, int]]:
+    out = []
+    for group in _REPORT_GROUPS:
+        hits = np.argwhere(np.stack([mask_of(k) for k in group], axis=-1)).tolist()
+        out.extend((group[j], elem) for elem, j in hits)
+    return out
+
+
+def verify(network: Network, c: ConstraintSet, v: np.ndarray, s: np.ndarray | None = None) -> Verdict:
+    """Check phasors ``v`` and their injections ``s`` (from Ybus if omitted) against every limit."""
+    return Verdict(network, c, v, s)
 
 
 def _check_conductance_signs(network: Network) -> None:
@@ -181,43 +300,13 @@ def _check_conductance_signs(network: Network) -> None:
             )
 
 
-def _gen_indices(network: Network) -> list[int]:
-    return [b.id for b in network.buses if b.kind is BusKind.GEN]
-
-
-def _binding(network: Network, c: ConstraintSet, state: VoltageState,
-             inj: InjectionProfile) -> tuple[tuple[str, int], ...]:
-    out: list[tuple[str, int]] = []
-    slack = network.slack_index
-    for i in range(network.n):
-        if i == slack:
-            continue
-        if c.v_max - state.magnitudes[i] < BINDING_TOL:
-            out.append(("v_max", i))
-        if state.magnitudes[i] - c.v_min < BINDING_TOL:
-            out.append(("v_min", i))
-    for bi, br in enumerate(network.branches):
-        dth = abs(state.angles[br.from_bus] - state.angles[br.to_bus])
-        if c.theta_max - dth < BINDING_TOL:
-            out.append(("theta", bi))
-        if br.thermal_limit is not None:
-            if br.thermal_limit - abs(branch_current(network, state, br)) < BINDING_TOL:
-                out.append(("thermal", bi))
-    if c.eta is not None:
-        pf = power_factors(network, inj)
-        for i in _gen_indices(network):
-            if pf[i] - c.eta < BINDING_TOL:
-                out.append(("pf", i))
-    return tuple(out)
-
-
 def finalize_solution(network: Network, c: ConstraintSet, state: VoltageState, stage: str) -> HCSolution:
     inj = evaluate_injections(network, state)
     return HCSolution(
         state=state,
         injections=inj,
         hc_total=float(network.lam @ inj.p),
-        binding=_binding(network, c, state, inj),
+        binding=verify(network, c, state.phasors, inj.s).binding(),
         stage=stage,
     )
 
@@ -226,18 +315,18 @@ def _pattern_state(
     network: Network,
     c: ConstraintSet,
     depths: np.ndarray,
-    all_high: bool,
-    theta: float,
     root_vm: float | None = None,
 ) -> VoltageState:
-    """Magnitude/angle pattern for given tree depths.
+    """Optimal magnitude/angle pattern under ``c`` for given tree depths.
 
-    Non-root magnitudes alternate v_max (odd depth) / v_min (even depth), or
-    sit at v_max everywhere when ``all_high``.  Angles alternate 0 / theta by
-    depth parity, shifted so the root (slack) sits at zero.  ``depths`` may
-    be global depths of a subnetwork, so boundary buses keep their global
-    parity.
+    Angles alternate 0 / min(pi, theta_max) by depth parity, shifted so the
+    root (slack) sits at zero.  Non-root magnitudes alternate v_max (odd
+    depth) / v_min (even depth), or sit at v_max everywhere once theta_max
+    exceeds the critical angle.  ``depths`` may be global depths of a
+    subnetwork, so boundary buses keep their global parity.
     """
+    theta = min(math.pi, c.theta_max)
+    all_high = c.theta_max > critical_angle(c.v_max, c.v_min)
     root = network.slack_index
     par = depths % 2
     if all_high:
@@ -259,13 +348,9 @@ def _pattern_stage(
     _check_conductance_signs(network)
     if depths is None:
         _, depths, _ = bfs_tree(network)
-    if c.theta_max == 0:
-        state = _pattern_state(network, c, depths, all_high=False, theta=0.0, root_vm=root_vm)
-        return finalize_solution(network, c, state, stage="voltage_pattern")
-    theta = min(math.pi, c.theta_max)
-    all_high = c.theta_max > critical_angle(c.v_max, c.v_min)
-    state = _pattern_state(network, c, depths, all_high=all_high, theta=theta, root_vm=root_vm)
-    return finalize_solution(network, c, state, stage="angle_pattern")
+    state = _pattern_state(network, c, depths, root_vm=root_vm)
+    stage = "voltage_pattern" if c.theta_max == 0 else "angle_pattern"
+    return finalize_solution(network, c, state, stage=stage)
 
 
 def solve_voltage_only(network: Network, c: ConstraintSet) -> HCSolution:
@@ -372,7 +457,7 @@ def adjust_thermal(
             cur = yabs * abs(
                 mags[i] * np.exp(1j * angles[i]) - mags[k] * np.exp(1j * angles[k])
             )
-            if cur <= cap * (1 + THERMAL_RTOL):
+            if cur <= cap * (1 + TOL["thermal"]):
                 continue
             if _pass == max_passes:
                 raise AdjustmentError(
@@ -440,7 +525,7 @@ def adjust_power_factor(
     """
     if c.eta is None:
         return sol
-    gens = _gen_indices(network)
+    gens = [b.id for b in network.buses if b.kind is BusKind.GEN]
     if not gens:
         return sol
     kappa = math.sqrt(1.0 - c.eta * c.eta) / c.eta
@@ -488,7 +573,7 @@ def adjust_power_factor(
                 )
         try:
             # damping 0.5 for robustness; the step tolerance must sit well
-            # below the pf acceptance tolerance (eta - 1e-6), hence 1e-9
+            # below the pf acceptance tolerance TOL["pf"], hence 1e-9
             state = solve_newton(
                 network,
                 setpoints,
@@ -504,37 +589,19 @@ def adjust_power_factor(
     else:
         raise AdjustmentError("power-factor correction did not settle")
 
-    mags = state.magnitudes
-    if np.any(mags > c.v_max + BOX_ATOL) or np.any(mags < c.v_min - BOX_ATOL):
-        slack = network.slack_index
-        bad = [
-            i
-            for i in range(network.n)
-            if i != slack and not (c.v_min - BOX_ATOL <= mags[i] <= c.v_max + BOX_ATOL)
-        ]
-        if bad:
-            raise InfeasibleError(
-                f"power-factor clamping drives buses {bad} outside the magnitude box"
-            )
-    pf = power_factors(network, inj)
-    bad_pf = [i for i in gens if pf[i] < c.eta - PF_ATOL]
+    verdict = verify(network, c, state.phasors, inj.s)
+    bad = np.flatnonzero(verdict.violated("v_max") | verdict.violated("v_min")).tolist()
+    if bad:
+        raise InfeasibleError(
+            f"power-factor clamping drives buses {bad} outside the magnitude box"
+        )
+    bad_pf = np.flatnonzero(verdict.violated("pf")).tolist()
     if bad_pf:
         raise AdjustmentError(f"power factor still below eta at buses {bad_pf}")
     return finalize_solution(network, c, state, stage="pf_adjusted")
 
 
 # --- full pipeline -----------------------------------------------------------
-
-
-def _thermal_ok(network: Network, state: VoltageState) -> bool:
-    return thermal_utilization(network, state) <= 1 + THERMAL_RTOL
-
-
-def _pf_ok(network: Network, c: ConstraintSet, inj: InjectionProfile) -> bool:
-    if c.eta is None:
-        return True
-    pf = power_factors(network, inj)
-    return all(pf[i] >= c.eta - PF_ATOL for i in _gen_indices(network))
 
 
 def solve_hc_stages(
@@ -563,7 +630,8 @@ def solve_hc_stages(
         if p is not t:
             stages.append(p)
         sol = p
-        if _thermal_ok(network, sol.state) and _pf_ok(network, c, sol.injections):
+        # theta is not re-checked: the pf re-solve moves the angles of converted buses
+        if verify(network, c, sol.state.phasors, sol.injections.s).ok("thermal", "pf"):
             return stages
     raise AdjustmentError("thermal and power-factor corrections did not jointly settle")
 

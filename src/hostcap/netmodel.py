@@ -113,7 +113,9 @@ class Network:
     Construction validates that bus ids are contiguous from 0, that exactly
     one bus is the slack, that branch endpoints exist and that the branch
     graph is connected.  Radiality (exactly n-1 branches) is *not* required
-    here; operations that need a tree check it themselves.
+    here; operations that need a tree check it themselves.  Construction
+    also derives per-branch arrays (endpoints, series admittance, thermal
+    limit), which the feasibility verifier and the branch sums work over.
     """
 
     buses: tuple[Bus, ...]
@@ -123,6 +125,11 @@ class Network:
     slack_vm: float = 1.0
     shunts: tuple[complex, ...] | None = None
     ybus: np.ndarray = field(init=False, repr=False)
+    # per-branch arrays, in branch order; branch_limit is +inf where unlimited
+    branch_from: np.ndarray = field(init=False, repr=False)
+    branch_to: np.ndarray = field(init=False, repr=False)
+    branch_y: np.ndarray = field(init=False, repr=False)
+    branch_limit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.buses)
@@ -145,6 +152,16 @@ class Network:
             raise ValueError("shunt vector length must equal bus count")
         if not _is_connected(n, self.branches):
             raise TopologyError("non-connected graph")
+        limits = [np.inf if br.thermal_limit is None else br.thermal_limit for br in self.branches]
+        for name, values, dtype in (
+            ("branch_from", [br.from_bus for br in self.branches], int),
+            ("branch_to", [br.to_bus for br in self.branches], int),
+            ("branch_y", [br.series_admittance for br in self.branches], complex),
+            ("branch_limit", limits, float),
+        ):
+            arr = np.array(values, dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "ybus", build_ybus(self))
 
     @property
@@ -204,13 +221,10 @@ def build_ybus(network: Network) -> np.ndarray:
     """
     n = len(network.buses)
     y = np.zeros((n, n), dtype=complex)
-    for br in network.branches:
-        ys = br.series_admittance
-        i, k = br.from_bus, br.to_bus
-        y[i, k] -= ys
-        y[k, i] -= ys
-        y[i, i] += ys
-        y[k, k] += ys
+    i, k, ys = network.branch_from, network.branch_to, network.branch_y
+    # np.add.at adds in index order, so every entry sums its branches in branch order
+    index = (np.column_stack([i, k, i, k]).ravel(), np.column_stack([k, i, i, k]).ravel())
+    np.add.at(y, index, np.column_stack([-ys, -ys, ys, ys]).ravel())
     if network.shunts is not None:
         y[np.diag_indices(n)] += np.asarray(network.shunts, dtype=complex)
     y.flags.writeable = False  # networks are shared across workers
@@ -282,6 +296,53 @@ def _int(tok: str, lineno: int, what: str) -> int:
         raise CaseFormatError(f"line {lineno}: {what} is not an integer: {tok!r}") from None
 
 
+def _kind(tok: str, lineno: int) -> BusKind:
+    try:
+        return BusKind(tok.lower())
+    except ValueError:
+        raise CaseFormatError(f"line {lineno}: unknown bus kind {tok!r}") from None
+
+
+def _limits(toks: list[str], lineno: int) -> dict[str, float]:
+    if len(toks) not in (3, 4, 5):
+        raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
+    vals = [_num(tok, lineno, "limit") for tok in toks[1:]]
+    return dict(zip(("v_min", "v_max", "theta_max", "eta"), vals))
+
+
+def _read_records(text: str, handlers: dict) -> tuple[float, float]:
+    """Read BASE and LIMITS, pass every other record to ``handlers[record](toks, lineno)``.
+
+    Shared by every case format; returns the (MVA, kV) base.
+    """
+    base = None
+    for lineno, toks in _tokens(text):
+        rec = toks[0].upper()
+        if rec == "BASE":
+            if len(toks) != 3:
+                raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
+            base = (_num(toks[1], lineno, "base MVA"), _num(toks[2], lineno, "base kV"))
+        elif rec == "LIMITS":
+            _limits(toks, lineno)  # constraint defaults; consumed by read_case_limits
+        elif rec in handlers:
+            handlers[rec](toks, lineno)
+        else:
+            raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
+    if base is None:
+        raise CaseFormatError("missing BASE header")
+    return base
+
+
+def _bus_tuple(raw: dict) -> tuple:
+    """Parsed bus records in id order; ids must run contiguously from 0."""
+    if not raw:
+        raise CaseFormatError("no BUS records")
+    n = len(raw)
+    if sorted(raw) != list(range(n)):
+        raise CaseFormatError("bus ids must be contiguous integers starting at 0")
+    return tuple(raw[i] for i in range(n))
+
+
 def parse_case(text: str) -> Network:
     """Parse case-file content into a :class:`Network`.
 
@@ -290,78 +351,50 @@ def parse_case(text: str) -> Network:
     (duplicate ids, missing/multiple slack), :class:`TopologyError` for a
     disconnected branch graph.
     """
-    base_mva, base_kv = 1.0, 1.0
     raw_buses: dict[int, Bus] = {}
     branches: list[Branch] = []
     shunt_records: list[tuple[int, float, float]] = []
-    saw_base = False
-    for lineno, toks in _tokens(text):
-        rec = toks[0].upper()
-        if rec == "BASE":
-            if len(toks) != 3:
-                raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
-            base_mva = _num(toks[1], lineno, "base MVA")
-            base_kv = _num(toks[2], lineno, "base kV")
-            saw_base = True
-        elif rec == "BUS":
-            if len(toks) != 6:
-                raise CaseFormatError(f"line {lineno}: BUS takes <id> <kind> <Pload> <Qload> <lambda>")
-            bid = _int(toks[1], lineno, "bus id")
-            try:
-                kind = BusKind(toks[2].lower())
-            except ValueError:
-                raise CaseFormatError(f"line {lineno}: unknown bus kind {toks[2]!r}") from None
-            if bid in raw_buses:
-                raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
-            raw_buses[bid] = Bus(
-                id=bid,
-                kind=kind,
-                load_p=_num(toks[3], lineno, "Pload"),
-                load_q=_num(toks[4], lineno, "Qload"),
-                lam=_num(toks[5], lineno, "lambda"),
-            )
-        elif rec == "BRANCH":
-            if len(toks) not in (5, 6):
-                raise CaseFormatError(f"line {lineno}: BRANCH takes <from> <to> <r> <x> [C]")
-            limit = _num(toks[5], lineno, "thermal limit") if len(toks) == 6 else None
-            if limit is not None and limit <= 0:
-                raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
-            branches.append(
-                Branch(
-                    from_bus=_int(toks[1], lineno, "from bus"),
-                    to_bus=_int(toks[2], lineno, "to bus"),
-                    r=_num(toks[3], lineno, "r"),
-                    x=_num(toks[4], lineno, "x"),
-                    thermal_limit=limit,
-                )
-            )
-        elif rec == "SHUNT":
-            if len(toks) != 4:
-                raise CaseFormatError(f"line {lineno}: SHUNT takes <bus> <g> <b>")
-            bid = _int(toks[1], lineno, "bus id")
-            shunt_records.append((bid, _num(toks[2], lineno, "g"), _num(toks[3], lineno, "b")))
-        elif rec == "LIMITS":
-            # constraint defaults; consumed by read_case_limits
-            if len(toks) not in (3, 4, 5):
-                raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
-            for tok in toks[1:]:
-                _num(tok, lineno, "limit")
-        else:
-            raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
 
-    if not saw_base:
-        raise CaseFormatError("missing BASE header")
-    if not raw_buses:
-        raise CaseFormatError("no BUS records")
-    n = len(raw_buses)
-    if sorted(raw_buses) != list(range(n)):
-        raise CaseFormatError("bus ids must be contiguous integers starting at 0")
-    buses = tuple(raw_buses[i] for i in range(n))
-    slack_count = sum(1 for b in buses if b.kind is BusKind.SLACK)
-    if slack_count == 0:
-        raise CaseFormatError("missing slack bus")
-    if slack_count > 1:
-        raise CaseFormatError("multiple slack buses declared")
+    def bus(toks, lineno):
+        if len(toks) != 6:
+            raise CaseFormatError(f"line {lineno}: BUS takes <id> <kind> <Pload> <Qload> <lambda>")
+        bid = _int(toks[1], lineno, "bus id")
+        kind = _kind(toks[2], lineno)
+        if bid in raw_buses:
+            raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
+        raw_buses[bid] = Bus(
+            id=bid,
+            kind=kind,
+            load_p=_num(toks[3], lineno, "Pload"),
+            load_q=_num(toks[4], lineno, "Qload"),
+            lam=_num(toks[5], lineno, "lambda"),
+        )
+
+    def branch(toks, lineno):
+        if len(toks) not in (5, 6):
+            raise CaseFormatError(f"line {lineno}: BRANCH takes <from> <to> <r> <x> [C]")
+        limit = _num(toks[5], lineno, "thermal limit") if len(toks) == 6 else None
+        if limit is not None and limit <= 0:
+            raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
+        branches.append(
+            Branch(
+                from_bus=_int(toks[1], lineno, "from bus"),
+                to_bus=_int(toks[2], lineno, "to bus"),
+                r=_num(toks[3], lineno, "r"),
+                x=_num(toks[4], lineno, "x"),
+                thermal_limit=limit,
+            )
+        )
+
+    def shunt(toks, lineno):
+        if len(toks) != 4:
+            raise CaseFormatError(f"line {lineno}: SHUNT takes <bus> <g> <b>")
+        bid = _int(toks[1], lineno, "bus id")
+        shunt_records.append((bid, _num(toks[2], lineno, "g"), _num(toks[3], lineno, "b")))
+
+    base_mva, base_kv = _read_records(text, {"BUS": bus, "BRANCH": branch, "SHUNT": shunt})
+    buses = _bus_tuple(raw_buses)  # the slack count is checked by Network
+    n = len(buses)
 
     shunts = None
     if shunt_records:
@@ -390,13 +423,7 @@ def read_case_limits(text: str) -> dict[str, float] | None:
     """Extract the optional LIMITS record (constraint defaults) from a case."""
     for lineno, toks in _tokens(text):
         if toks[0].upper() == "LIMITS":
-            vals = [_num(t, lineno, "limit") for t in toks[1:]]
-            out = {"v_min": vals[0], "v_max": vals[1]}
-            if len(vals) >= 3:
-                out["theta_max"] = vals[2]
-            if len(vals) >= 4:
-                out["eta"] = vals[3]
-            return out
+            return _limits(toks, lineno)
     return None
 
 

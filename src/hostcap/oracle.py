@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hccore import ConstraintSet, HCSolution, InfeasibleError, finalize_solution
+from .hccore import ConstraintSet, HCSolution, InfeasibleError, finalize_solution, verify
 from .netmodel import BusKind, Network, bfs_tree
 from .powerflow import (
     BusSetpoint,
@@ -112,22 +112,6 @@ def _axes(network: Network, c: ConstraintSet, g: GridSpec):
     return mag_axis, ang_axis
 
 
-def _feasible_mask(network: Network, c: ConstraintSet, v: np.ndarray,
-                   p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    ok = np.ones(v.shape[0], dtype=bool)
-    for br in network.branches:
-        if br.thermal_limit is None:
-            continue
-        cur = np.abs(br.series_admittance * (v[:, br.from_bus] - v[:, br.to_bus]))
-        ok &= cur <= br.thermal_limit * (1 + 1e-9)
-    if c.eta is not None:
-        kappa = math.sqrt(1 - c.eta**2) / c.eta
-        for b in network.buses:
-            if b.kind is BusKind.GEN:
-                ok &= np.abs(q[:, b.id]) <= kappa * np.abs(p[:, b.id]) + 1e-9
-    return ok
-
-
 def grid_search_hc(
     network: Network,
     c: ConstraintSet,
@@ -172,14 +156,16 @@ def grid_search_hc(
             angles = np.zeros((stop - start, network.n))
             for j in range(nf):
                 angles[:, free[j]] = ang_free[:, j]
-            v = mags * np.exp(1j * angles)
+            v = np.exp(1j * angles)
+            v *= mags  # in place, like s below, so the verifier's arrays reuse freed memory
         else:
             deltas = np.zeros((stop - start, nf))
             v = mags.astype(complex)
-        s = v * np.conj(v @ ybus.T)
-        p, q = s.real, s.imag
-        obj = p @ lam
-        obj[~_feasible_mask(network, c, v, p, q)] = -math.inf
+        yv = v @ ybus.T
+        s = np.multiply(v, np.conjugate(yv, out=yv), out=yv)
+        obj = s.real @ lam
+        # box and angle bounds hold by construction of the axes
+        obj[~verify(network, c, v, s).ok("thermal", "pf")] = -math.inf
         j = int(np.argmax(obj))
         return float(obj[j]), mags[j, free].copy(), deltas[j].copy()
 
@@ -265,10 +251,10 @@ def pv_curve_surface(network: Network, c: ConstraintSet, g: GridSpec) -> Surface
     v[:, free[0]] = v1
     v[:, free[1]] = v2
     s = v * np.conj(v @ network.ybus.T)
-    p, q = s.real, s.imag
+    p = s.real
     sum_p = p[:, free[0]] + p[:, free[1]]
     rows = np.column_stack([v1, v2, sum_p])
-    feasible = _feasible_mask(network, c, v, p, q)
+    feasible = verify(network, c, v, s).ok("thermal", "pf")
     obj = p @ network.lam
     obj[~feasible] = -math.inf
     return SurfaceResult(
@@ -278,32 +264,6 @@ def pv_curve_surface(network: Network, c: ConstraintSet, g: GridSpec) -> Surface
         max_index=int(np.argmax(obj)),
         free_buses=(free[0], free[1]),
     )
-
-
-def _first_violation(network: Network, c: ConstraintSet, state, inj, candidate: int) -> str | None:
-    mags = state.magnitudes
-    slack = network.slack_index
-    for i in range(network.n):
-        if i == slack:
-            continue
-        if mags[i] > c.v_max + 1e-9:
-            return "v_max"
-        if mags[i] < c.v_min - 1e-9:
-            return "v_min"
-    for br in network.branches:
-        if abs(state.angles[br.from_bus] - state.angles[br.to_bus]) > c.theta_max + 1e-9:
-            return "theta"
-        if br.thermal_limit is not None:
-            cur = abs(br.series_admittance * (state.phasors[br.from_bus] - state.phasors[br.to_bus]))
-            if cur > br.thermal_limit * (1 + 1e-9):
-                return "thermal"
-    if c.eta is not None:
-        # the ramped PV injects at unity pf; only its own band is checked here
-        p, q = inj.p[candidate], inj.q[candidate]
-        s = math.hypot(p, q)
-        if s > 1e-12 and abs(p) / s < c.eta - 1e-9:
-            return "pf"
-    return None
 
 
 def incremental_screening(
@@ -329,7 +289,6 @@ def incremental_screening(
     rows: list[ScreeningRow] = []
     for cand in candidates:
         spec = list(base)
-        state = None
         status = "cap"
         k = 0
         last_state = None
@@ -345,7 +304,9 @@ def incremental_screening(
                 status = "diverged"
                 break
             inj = evaluate_injections(network, state)
-            violated = _first_violation(network, c, state, inj, cand)
+            failures = verify(network, c, state.phasors, inj.s).failures()
+            # the ramped PV injects at unity pf; only its own band is checked here
+            violated = next((k for k, i in failures if k != "pf" or i == cand), None)
             if violated is not None:
                 status = violated
                 break

@@ -25,12 +25,10 @@ from .hccore import (
     ConstraintSet,
     HCSolution,
     _pattern_state,
-    critical_angle,
     finalize_solution,
-    power_factors,
     solve_hc,
     solve_hc_stages,
-    thermal_utilization,
+    verify,
 )
 from .netmodel import Bus, BusKind, Network, bfs_tree
 from .powerflow import VoltageState, evaluate_injections
@@ -74,10 +72,7 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
     cuts = list(dict.fromkeys(cut_buses))
     if len(cuts) != len(cut_buses):
         raise ValueError("duplicate cut buses")
-    degree = np.zeros(network.n, dtype=int)
-    for br in network.branches:
-        degree[br.from_bus] += 1
-        degree[br.to_bus] += 1
+    degree = np.bincount(np.concatenate([network.branch_from, network.branch_to]), minlength=network.n)
     for b in cuts:
         if not 0 <= b < network.n:
             raise ValueError(f"unknown cut bus {b}")
@@ -151,25 +146,6 @@ def _subnetwork(network: Network, sub: Subsystem) -> tuple[Network, dict[int, in
     return net, local
 
 
-def _verify_global(network: Network, c: ConstraintSet, state: VoltageState) -> str | None:
-    mags = state.magnitudes
-    slack = network.slack_index
-    for i in range(network.n):
-        if i == slack:
-            continue
-        if not c.v_min - 1e-9 <= mags[i] <= c.v_max + 1e-9:
-            return f"magnitude out of box at bus {i}"
-    if thermal_utilization(network, state) > 1 + 1e-9:
-        return "thermal limit exceeded"
-    if c.eta is not None:
-        inj = evaluate_injections(network, state)
-        pf = power_factors(network, inj)
-        for b in network.buses:
-            if b.kind is BusKind.GEN and pf[b.id] < c.eta - 1e-6:
-                return f"power factor below floor at bus {b.id}"
-    return None
-
-
 def solve_distributed_hc(
     network: Network,
     c: ConstraintSet,
@@ -186,9 +162,7 @@ def solve_distributed_hc(
     if not p.cut_buses:
         return solve_hc(network, c)
     _, depths, _ = bfs_tree(network)
-    theta = min(c.theta_max, np.pi) if c.theta_max > 0 else 0.0
-    all_high = c.theta_max > critical_angle(c.v_max, c.v_min)
-    pattern = _pattern_state(network, c, depths, all_high=all_high, theta=theta)
+    pattern = _pattern_state(network, c, depths)
     cut_set = set(p.cut_buses)
 
     def solve_one(sub: Subsystem):
@@ -230,9 +204,11 @@ def solve_distributed_hc(
             mags[g] = m
             angles[g] = a
     state = VoltageState(magnitudes=mags, angles=angles)
-    problem = _verify_global(network, c, state)
+    failures = verify(network, c, state.phasors, evaluate_injections(network, state).s).failures()
+    # theta is left out, as in the pipeline's joint check: the pf re-solve moves angles
+    problem = next((f for f in failures if f[0] != "theta"), None)
     if problem is not None:
-        logger.warning("partitioned solve fell back to monolithic: %s", problem)
+        logger.warning("partitioned solve fell back to monolithic: %s limit violated at %d", *problem)
         return solve_hc(network, c)
     return finalize_solution(network, c, state, stage="distributed")
 

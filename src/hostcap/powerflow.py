@@ -88,6 +88,11 @@ class InjectionProfile:
     p: np.ndarray
     q: np.ndarray
 
+    @property
+    def s(self) -> np.ndarray:
+        """Complex injections P + jQ."""
+        return self.p + 1j * self.q
+
 
 @dataclass(frozen=True)
 class BusSetpoint:
@@ -120,12 +125,9 @@ def quadratic_form_total(network: Network, state: VoltageState) -> float:
     equals sum_i P_i on shunt-free networks.
     """
     vre, vim = state.v_re, state.v_im
-    total = 0.0
-    for br in network.branches:
-        g = br.series_admittance.real  # == -G_ik of the ybus off-diagonal
-        i, k = br.from_bus, br.to_bus
-        total += g * ((vre[i] - vre[k]) ** 2 + (vim[i] - vim[k]) ** 2)
-    return total
+    i, k = network.branch_from, network.branch_to
+    g = network.branch_y.real  # == -G_ik of the ybus off-diagonal
+    return float(g @ ((vre[i] - vre[k]) ** 2 + (vim[i] - vim[k]) ** 2))
 
 
 def polar_form_total(network: Network, state: VoltageState) -> float:
@@ -134,13 +136,9 @@ def polar_form_total(network: Network, state: VoltageState) -> float:
     sum over branches of (-G_ik) * [a^2 + b^2 - 2 a b cos(t_i - t_k)].
     """
     m, t = state.magnitudes, state.angles
-    total = 0.0
-    for br in network.branches:
-        g = br.series_admittance.real
-        i, k = br.from_bus, br.to_bus
-        a, b = m[i], m[k]
-        total += g * (a * a + b * b - 2 * a * b * np.cos(t[i] - t[k]))
-    return total
+    i, k = network.branch_from, network.branch_to
+    a, b = m[i], m[k]
+    return float(network.branch_y.real @ (a * a + b * b - 2 * a * b * np.cos(t[i] - t[k])))
 
 
 def base_setpoints(network: Network) -> tuple[BusSetpoint, ...]:

@@ -15,7 +15,8 @@ the decoupled sequence model handles them as follows:
 Cross-sequence coupling (untransposed lines) is tolerated up to a relative
 threshold; beyond it the decoupled model is refused rather than trusted.
 
-Extended case records::
+Extended case records, alongside the BASE and LIMITS records of the
+single-phase format (see :mod:`hostcap.netmodel`)::
 
     BUS3    <id> <kind> <Pa> <Qa> <Pb> <Qb> <Pc> <Qc> <lambda>
     BRANCH3 <from> <to> <18 reals: 3x3 impedance block, row-major,
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hccore import ConstraintSet, HCSolution, solve_hc
+from .hccore import ConstraintSet, HCSolution, solve_hc, verify
 from .netmodel import Branch, Bus, BusKind, CaseFormatError, Network
+from .netmodel import _bus_tuple, _int, _kind, _num, _read_records  # the shared case tokenizer
 from .powerflow import VoltageState
 
 __all__ = [
@@ -191,8 +193,6 @@ class SequenceSystem:
     coupling: float                      # max relative cross-sequence magnitude
     cross_0_from_1: np.ndarray           # Y^{01} block, drives zero-seq injections
     cross_2_from_1: np.ndarray           # Y^{21} block, drives negative-seq injections
-    injections0: np.ndarray | None = None
-    injections2: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,68 +213,50 @@ class UnbalancedSolution:
 
 def parse_case3(text: str) -> ThreePhaseNetwork:
     """Parse the extended multi-phase case format (BUS3/BRANCH3 records)."""
-    base_mva, base_kv = 1.0, 1.0
     buses: dict[int, ThreePhaseBus] = {}
     branches: list[ThreePhaseBranch] = []
-    saw_base = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        rec = toks[0].upper()
-        try:
-            if rec == "BASE":
-                base_mva, base_kv = float(toks[1]), float(toks[2])
-                saw_base = True
-            elif rec == "BUS3":
-                if len(toks) != 10:
-                    raise CaseFormatError(
-                        f"line {lineno}: BUS3 takes <id> <kind> <Pa Qa Pb Qb Pc Qc> <lambda>"
-                    )
-                bid = int(toks[1])
-                kind = BusKind(toks[2].lower())
-                vals = [float(t) for t in toks[3:9]]
-                if bid in buses:
-                    raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
-                buses[bid] = ThreePhaseBus(
-                    id=bid,
-                    kind=kind,
-                    load=PhaseVector(
-                        a=complex(vals[0], vals[1]),
-                        b=complex(vals[2], vals[3]),
-                        c=complex(vals[4], vals[5]),
-                    ),
-                    lam=float(toks[9]),
-                )
-            elif rec == "BRANCH3":
-                if len(toks) not in (21, 22):
-                    raise CaseFormatError(
-                        f"line {lineno}: BRANCH3 takes <from> <to> + 18 impedance reals [C]"
-                    )
-                vals = [float(t) for t in toks[3:21]]
-                z = np.array(
-                    [complex(vals[2 * j], vals[2 * j + 1]) for j in range(9)]
-                ).reshape(3, 3)
-                limit = float(toks[21]) if len(toks) == 22 else None
-                branches.append(
-                    ThreePhaseBranch(
-                        from_bus=int(toks[1]), to_bus=int(toks[2]), z=z, thermal_limit=limit
-                    )
-                )
-            else:
-                raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, CaseFormatError):
-                raise
-            raise CaseFormatError(f"line {lineno}: {exc}") from None
-    if not saw_base:
-        raise CaseFormatError("missing BASE header")
-    n = len(buses)
-    if sorted(buses) != list(range(n)):
-        raise CaseFormatError("bus ids must be contiguous integers starting at 0")
+
+    def bus3(toks, lineno):
+        if len(toks) != 10:
+            raise CaseFormatError(
+                f"line {lineno}: BUS3 takes <id> <kind> <Pa Qa Pb Qb Pc Qc> <lambda>"
+            )
+        bid = _int(toks[1], lineno, "bus id")
+        kind = _kind(toks[2], lineno)
+        vals = [_num(t, lineno, "phase load") for t in toks[3:9]]
+        if bid in buses:
+            raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
+        buses[bid] = ThreePhaseBus(
+            id=bid,
+            kind=kind,
+            load=PhaseVector(
+                a=complex(vals[0], vals[1]),
+                b=complex(vals[2], vals[3]),
+                c=complex(vals[4], vals[5]),
+            ),
+            lam=_num(toks[9], lineno, "lambda"),
+        )
+
+    def branch3(toks, lineno):
+        if len(toks) not in (21, 22):
+            raise CaseFormatError(
+                f"line {lineno}: BRANCH3 takes <from> <to> + 18 impedance reals [C]"
+            )
+        vals = [_num(t, lineno, "impedance") for t in toks[3:21]]
+        z = np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(9)]).reshape(3, 3)
+        limit = _num(toks[21], lineno, "thermal limit") if len(toks) == 22 else None
+        branches.append(
+            ThreePhaseBranch(
+                from_bus=_int(toks[1], lineno, "from bus"),
+                to_bus=_int(toks[2], lineno, "to bus"),
+                z=z,
+                thermal_limit=limit,
+            )
+        )
+
+    base_mva, base_kv = _read_records(text, {"BUS3": bus3, "BRANCH3": branch3})
     return ThreePhaseNetwork(
-        buses=tuple(buses[i] for i in range(n)),
+        buses=_bus_tuple(buses),
         branches=tuple(branches),
         base_mva=base_mva,
         base_kv=base_kv,
@@ -440,15 +422,12 @@ def solve_unbalanced_hc(
     net3: ThreePhaseNetwork,
     c: ConstraintSet,
     coupling_threshold: float = 0.05,
-    outer_iterations: int = 1,
 ) -> UnbalancedSolution:
     """Hosting capacity of a multi-phase feeder via decoupled sequences.
 
     Runs the single-phase pipeline on the positive-sequence network, solves
     the zero/negative nodal equations for the unbalance, recombines to phase
-    voltages and checks the magnitude box per phase.  ``outer_iterations``
-    beyond 1 re-evaluates the unbalance currents at the recombined phase
-    voltages (off by default; one pass matches the decoupled derivation).
+    voltages and checks the magnitude box per phase.
     """
     y_abc = build_ybus3(net3)
     seq = sequence_ybus(y_abc)
@@ -463,29 +442,14 @@ def solve_unbalanced_hc(
     positive = solve_hc(pos_net, c)
     slack = net3.slack_index
 
-    state = positive.state
-    v_ph_prev: np.ndarray | None = None
-    v0 = np.zeros(net3.n, dtype=complex)
-    v2 = np.zeros(net3.n, dtype=complex)
-    for _ in range(max(1, outer_iterations)):
-        i0, i2 = unbalance_currents(net3, seq, state)
-        v0 = _solve_sequence_nodal(seq.y0, i0, slack, "zero")
-        v2 = _solve_sequence_nodal(seq.y2, i2, slack, "negative")
-        v_ph = np.stack([v0, state.phasors, v2], axis=1) @ TRANSFORM.T
-        if v_ph_prev is not None and np.max(np.abs(v_ph - v_ph_prev)) < 1e-10:
-            break
-        v_ph_prev = v_ph
-
-    v1 = state.phasors
+    i0, i2 = unbalance_currents(net3, seq, positive.state)
+    v0 = _solve_sequence_nodal(seq.y0, i0, slack, "zero")
+    v2 = _solve_sequence_nodal(seq.y2, i2, slack, "negative")
+    v1 = positive.state.phasors
     v_abc = np.stack([v0, v1, v2], axis=1) @ TRANSFORM.T
-    violations = []
-    for i in range(net3.n):
-        if i == slack:
-            continue
-        for ph in range(3):
-            mag = abs(v_abc[i, ph])
-            if mag > c.v_max + 1e-9 or mag < c.v_min - 1e-9:
-                violations.append((i, ph))
+    # one row of bus phasors per phase; only the box family applies per phase
+    per_phase = verify(pos_net, c, v_abc.T)
+    outside = (per_phase.violated("v_max") | per_phase.violated("v_min")).T
     return UnbalancedSolution(
         positive=positive,
         v0=v0,
@@ -496,5 +460,5 @@ def solve_unbalanced_hc(
         hc_total=3.0 * positive.hc_total,
         method=method,
         coupling=seq.coupling,
-        phase_bound_violations=tuple(violations),
+        phase_bound_violations=tuple((int(b), int(p)) for b, p in np.argwhere(outside)),
     )

@@ -213,3 +213,12 @@ def test_limits_record_supplies_defaults_and_flags_override(tmp_path):
     assert rep["constraints"]["v_max"] == 1.03
     rep = report_of(run_cli("solve", "--vmax", "1.05", str(case)))
     assert rep["constraints"]["v_max"] == 1.05
+
+
+def test_case3_limits_record_supplies_defaults_and_flags_override(tmp_path):
+    case = tmp_path / "lim.case3"
+    case.write_text("LIMITS 0.95 1.05 0.01\n" + (FIXTURE_DIR / "8bus_balanced.case3").read_text())
+    rep = report_of(run_cli("unbalanced", str(case)))
+    assert rep["constraints"]["theta_max"] == 0.01
+    rep = report_of(run_cli("unbalanced", "--theta-max", "0", str(case)))
+    assert rep["constraints"]["theta_max"] == 0.0

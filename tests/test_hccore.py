@@ -22,7 +22,7 @@ from hostcap.hccore import (
     weighted_hc,
 )
 from hostcap.netmodel import Branch, Bus, BusKind, Network
-from hostcap.powerflow import VoltageState
+from hostcap.powerflow import InjectionProfile, VoltageState
 
 from conftest import load_fixture
 
@@ -384,3 +384,9 @@ def test_hc_total_is_weighted_injection_sum(net8):
 
     for sol in solve_hc_stages(net8, ConstraintSet(theta_max=0.004, eta=0.80)):
         assert sol.hc_total == pytest.approx(float(net8.lam @ sol.injections.p), abs=1e-10)
+
+
+def test_power_factor_floor_counts_round_off_as_unity(net3):
+    # |S| at or below 1e-9 is no injection; just above it the ratio counts
+    inj = InjectionProfile(p=np.array([4e-12, 0.0, 0.0]), q=np.array([-3e-12, 1e-9, 2e-9]))
+    np.testing.assert_array_equal(power_factors(net3, inj), [1.0, 1.0, 0.0])

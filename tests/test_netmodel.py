@@ -14,6 +14,7 @@ from hostcap.netmodel import (
     parse_case,
     serialize_case,
 )
+from hostcap.sequence import parse_case3
 
 from conftest import load_fixture
 
@@ -73,6 +74,12 @@ def test_parse_rejects_garbage():
         parse_case("BASE 1 1\nBUS zero slack 0 0 0\n")
     with pytest.raises(CaseFormatError):
         parse_case("BASE 1 1\nFROB 0 1\n")
+    # both case formats share the BASE and LIMITS records and their checks
+    for parse in (parse_case, parse_case3):
+        with pytest.raises(CaseFormatError, match="BASE takes <MVA> <kV>"):
+            parse("BASE 1 1 7\n")
+        with pytest.raises(CaseFormatError, match="LIMITS takes"):
+            parse("BASE 1 1\nLIMITS 0.95\n")
 
 
 def test_parse_eight_bus_fixture():

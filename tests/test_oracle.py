@@ -120,6 +120,15 @@ def test_screening_violated_base_case_is_zero():
     assert rows[0].status == "v_min"
 
 
+def test_screening_zero_injection_bus_is_not_a_pf_violation():
+    # bus 4 carries no load: its base-case |S| is round-off, which counts as unity pf
+    net = load_fixture("8bus_pf.case")
+    c = ConstraintSet(theta_max=0.01, eta=0.9)
+    (row,) = incremental_screening(net, c, step=0.01, candidates=[4])
+    assert row.status != "pf"
+    assert row.steps > 0 and row.hc > 0
+
+
 def test_screening_single_bus_below_joint_optimum(net3):
     c = ConstraintSet()
     rows = incremental_screening(net3, c, step=1e-3, candidates=[1, 2])
