@@ -42,6 +42,7 @@ from .powerflow import (
     InjectionProfile,
     PowerFlowError,
     VoltageState,
+    bus_injections,
     evaluate_injections,
     solve_newton,
 )
@@ -271,7 +272,9 @@ class Verdict:
         if self.c.eta is None:
             return np.array([], dtype=int), np.empty((0,) + self.v.shape[1:]), TOL["pf"]
         gen = np.array([b.id for b in self.network.buses if b.kind is BusKind.GEN], dtype=int)
-        s = self.s if self.s is not None else self.v * np.conj(np.tensordot(self.network.ybus, self.v, 1))
+        s = self.s
+        if s is None:  # element-major, like self.v
+            s = np.moveaxis(bus_injections(self.network, np.moveaxis(self.v, 0, -1)), -1, 0)
         pf = _power_factor(s[gen])
         pf -= self.c.eta
         return gen, pf, TOL["pf"]
@@ -286,18 +289,19 @@ def _in_order(mask_of) -> list[tuple[str, int]]:
 
 
 def verify(network: Network, c: ConstraintSet, v: np.ndarray, s: np.ndarray | None = None) -> Verdict:
-    """Check phasors ``v`` and their injections ``s`` (from Ybus if omitted) against every limit."""
+    """Check phasors ``v`` and their injections ``s`` (summed per branch if omitted) against every limit."""
     return Verdict(network, c, v, s)
 
 
 def _check_conductance_signs(network: Network) -> None:
     # the pattern argument needs -G_ik >= 0 on every branch
-    for br in network.branches:
-        if br.series_admittance.real < -1e-12:
-            raise ValueError(
-                f"branch {br.from_bus}-{br.to_bus} has negative series conductance; "
-                "the pattern construction does not apply"
-            )
+    bad = np.flatnonzero(network.branch_y.real < -1e-12)
+    if bad.size:
+        br = network.branches[bad[0]]
+        raise ValueError(
+            f"branch {br.from_bus}-{br.to_bus} has negative series conductance; "
+            "the pattern construction does not apply"
+        )
 
 
 def finalize_solution(network: Network, c: ConstraintSet, state: VoltageState, stage: str) -> HCSolution:
@@ -412,9 +416,10 @@ def adjust_thermal(
     from the root and a single sweep settles the tree.  (Holding the v_max
     side instead, regardless of depth, can sacrifice an upstream branch
     term that the depth rule preserves; a leaf clamp in particular should
-    always move the leaf.)  Among in-box candidates the largest branch
-    term wins, then the largest total objective.  When no candidate exists
-    for the held value, a scan over the held side finds a feasible pair.
+    always move the leaf.)  Among in-box candidates the largest branch term
+    wins, then the largest total objective (to 1e-9), then the smaller moved
+    magnitude.  When no candidate exists for the held value, a scan over the
+    held side finds a feasible pair.
     Changes stay local to the branch endpoints; all limited branches are
     re-checked until clean.  Buses listed in ``immutable`` must not move;
     a violation that would have to move one raises
@@ -432,19 +437,17 @@ def adjust_thermal(
     mags = np.array(sol.state.magnitudes, dtype=float)
     angles = np.array(sol.state.angles, dtype=float)
     lam = network.lam
-    ybus = network.ybus
 
-    def total_obj(m: np.ndarray) -> float:
-        v = m * np.exp(1j * angles)
-        return float(lam @ (v * np.conj(ybus @ v)).real)
+    def score(pair: tuple[float, float], hold: int, move: int, cos_t: float) -> tuple:
+        # rounded, so that the two roots at a leaf, which tie exactly, are not split by round-off
+        trial = mags.copy()
+        trial[[hold, move]] = pair
+        obj = float(lam @ bus_injections(network, trial * np.exp(1j * angles)).real)
+        return (round(_branch_term(*pair, cos_t), 12), round(obj, 9), -pair[1])
 
     def clamp_pairs(hold_vals: list[float], cos_t: float, kappa2: float):
         # (a, b) pairs with the branch term capped at kappa2, a taken from hold_vals
-        pairs = []
-        for a in hold_vals:
-            for b in _curve_candidates(a, cos_t, kappa2, c):
-                pairs.append((a, b))
-        return pairs
+        return [(a, b) for a in hold_vals for b in _curve_candidates(a, cos_t, kappa2, c)]
 
     changed_any = False
     max_passes = max(16, 2 * network.n)
@@ -483,17 +486,8 @@ def adjust_thermal(
                     f"thermal limit {cap} on branch {i}-{k} admits no voltage "
                     "pair inside the magnitude box"
                 )
-            best_key = None
-            best_pair = None
-            for a, b in options:
-                trial = mags.copy()
-                trial[hold] = a
-                trial[move] = b
-                key = (round(_branch_term(a, b, cos_t), 12), total_obj(trial), -b)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_pair = (a, b)
-            mags[hold], mags[move] = best_pair
+            # max keeps the first of equal keys
+            mags[[hold, move]] = max(options, key=lambda pair: score(pair, hold, move, cos_t))
         if not dirty:
             break
     if not changed_any:

@@ -1,8 +1,8 @@
 """Radial feeder model: case-file parsing, admittance assembly, parity labels.
 
 Buses and branches are plain immutable records; the :class:`Network` bundles
-them with the assembled bus admittance matrix.  All electrical quantities are
-per-unit on the single system base declared in the case file.
+them with per-branch arrays and assembles the dense admittance matrix only on
+first use.  All quantities are per-unit on the case file's system base.
 
 Case file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -108,14 +109,14 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """An immutable bus/branch network with its assembled admittance matrix.
+    """An immutable bus/branch network over per-branch arrays.
 
     Construction validates that bus ids are contiguous from 0, that exactly
     one bus is the slack, that branch endpoints exist and that the branch
     graph is connected.  Radiality (exactly n-1 branches) is *not* required
-    here; operations that need a tree check it themselves.  Construction
-    also derives per-branch arrays (endpoints, series admittance, thermal
-    limit), which the feasibility verifier and the branch sums work over.
+    here; operations that need a tree check it themselves.  Everything runs
+    on the per-branch arrays (endpoints, series admittance, thermal limit)
+    derived at construction; the dense ``ybus`` is built on first read.
     """
 
     buses: tuple[Bus, ...]
@@ -124,7 +125,6 @@ class Network:
     base_kv: float = 1.0
     slack_vm: float = 1.0
     shunts: tuple[complex, ...] | None = None
-    ybus: np.ndarray = field(init=False, repr=False)
     # per-branch arrays, in branch order; branch_limit is +inf where unlimited
     branch_from: np.ndarray = field(init=False, repr=False)
     branch_to: np.ndarray = field(init=False, repr=False)
@@ -150,7 +150,7 @@ class Network:
                 raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
         if self.shunts is not None and len(self.shunts) != n:
             raise ValueError("shunt vector length must equal bus count")
-        if not _is_connected(n, self.branches):
+        if not _is_connected(self.adjacency()):
             raise TopologyError("non-connected graph")
         limits = [np.inf if br.thermal_limit is None else br.thermal_limit for br in self.branches]
         for name, values, dtype in (
@@ -162,7 +162,11 @@ class Network:
             arr = np.array(values, dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "ybus", build_ybus(self))
+
+    @cached_property
+    def ybus(self) -> np.ndarray:
+        """Dense n x n admittance matrix (16 n^2 bytes): Newton's Jacobian and the oracle."""
+        return build_ybus(self)
 
     @property
     def n(self) -> int:
@@ -193,19 +197,12 @@ class Network:
         return len(self.branches) == self.n - 1
 
 
-def _is_connected(n: int, branches: tuple[Branch, ...]) -> bool:
-    if n == 1:
-        return True
-    seen = [False] * n
+def _is_connected(adj: list[list[tuple[int, int]]]) -> bool:
+    seen = [False] * len(adj)
     seen[0] = True
     stack = [0]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for br in branches:
-        adj[br.from_bus].append(br.to_bus)
-        adj[br.to_bus].append(br.from_bus)
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
+        for v, _bi in adj[stack.pop()]:
             if not seen[v]:
                 seen[v] = True
                 stack.append(v)

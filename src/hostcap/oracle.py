@@ -161,7 +161,7 @@ def grid_search_hc(
         else:
             deltas = np.zeros((stop - start, nf))
             v = mags.astype(complex)
-        yv = v @ ybus.T
+        yv = v @ ybus.T  # dense on purpose: the brute-force reference, faster on a few buses
         s = np.multiply(v, np.conjugate(yv, out=yv), out=yv)
         obj = s.real @ lam
         # box and angle bounds hold by construction of the axes

@@ -222,6 +222,8 @@ def partition_benchmark(
 ) -> dict:
     """Wall-time comparison of monolithic vs partitioned solve (reported, not asserted)."""
     part = make_partition(network, cut_buses)
+    solve_hc(network, c)  # untimed warm-up of both paths, so no repeat pays first-call costs
+    solve_distributed_hc(network, c, part, workers=workers)
     t0 = time.perf_counter()
     for _ in range(repeats):
         mono = solve_hc(network, c)

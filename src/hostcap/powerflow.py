@@ -7,7 +7,8 @@ Conventions.  Injections follow the standard polar equations
 
 Note the reactive equation uses the textbook ``G sin - B cos`` form; some
 sources print a ``G cos - B sin`` variant for Q, which is not consistent with
-S = V conj(YV) and is not used here.
+S = V conj(YV) and is not used here.  :func:`bus_injections` sums S branch by
+branch; of this module, only the Newton Jacobian reads the dense Ybus.
 
 For a shunt-free network the total active injection collapses to a per-branch
 quadratic form; :func:`quadratic_form_total` (rectangular coordinates) and
@@ -28,6 +29,7 @@ __all__ = [
     "InjectionProfile",
     "BusSetpoint",
     "PowerFlowError",
+    "bus_injections",
     "evaluate_injections",
     "quadratic_form_total",
     "polar_form_total",
@@ -109,12 +111,27 @@ class BusSetpoint:
     va: float = 0.0
 
 
+def bus_injections(network: Network, v: np.ndarray) -> np.ndarray:
+    """Injections S = V conj(I) of phasors ``v`` of shape ``(..., n)``.
+
+    The bus currents I = Y V are summed branch by branch, plus the shunts; no Ybus is built.
+    """
+    v = np.moveaxis(np.asarray(v, dtype=complex), -1, 0)  # bus-major: a branch gathers whole rows
+    per_row = (-1,) + (1,) * (v.ndim - 1)  # broadcast over the batch axes
+    i, k = network.branch_from, network.branch_to
+    flow = v[i] - v[k]  # series currents, leaving bus i and entering bus k
+    flow *= network.branch_y.reshape(per_row)
+    cur = np.zeros_like(v) if network.shunts is None else v * np.reshape(network.shunts, per_row)
+    np.add.at(cur, i, flow)
+    np.subtract.at(cur, k, flow)
+    return np.moveaxis(v * np.conj(cur), 0, -1)
+
+
 def evaluate_injections(network: Network, state: VoltageState) -> InjectionProfile:
     """Evaluate net injections implied by a voltage state: S = V conj(Y V)."""
     if state.n != network.n:
         raise ValueError(f"state has {state.n} buses, network has {network.n}")
-    v = state.phasors
-    s = v * np.conj(network.ybus @ v)
+    s = bus_injections(network, state.phasors)
     return InjectionProfile(p=s.real, q=s.imag)
 
 
@@ -152,19 +169,13 @@ def base_setpoints(network: Network) -> tuple[BusSetpoint, ...]:
     return tuple(out)
 
 
-def _injections_polar(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray):
-    v = vm * np.exp(1j * va)
-    s = v * np.conj(ybus @ v)
-    return s.real, s.imag
-
-
-def _jacobian(ybus: np.ndarray, vm: np.ndarray, va: np.ndarray):
-    """Standard polar power-flow Jacobian blocks (full n x n).
+def _jacobian(network: Network, vm: np.ndarray, va: np.ndarray):
+    """Standard polar power-flow Jacobian blocks (full n x n, from the dense Ybus).
 
     H = dP/dtheta, N = dP/dV, M = dQ/dtheta, L = dQ/dV, evaluated at
     (vm, va).  Also returns the injections P, Q at that point.
     """
-    g, b = ybus.real, ybus.imag
+    g, b = network.ybus.real, network.ybus.imag
     dth = va[:, None] - va[None, :]
     cos_t, sin_t = np.cos(dth), np.sin(dth)
     vv = vm[:, None] * vm[None, :]
@@ -229,16 +240,16 @@ def solve_newton(
 
     mismatch = np.inf
     for it in range(max_iter + 1):
-        p, q = _injections_polar(network.ybus, vm, va)
-        dp = p_sched[ang_idx] - p[ang_idx]
-        dq = q_sched[mag_idx] - q[mag_idx]
+        s = bus_injections(network, vm * np.exp(1j * va))
+        dp = p_sched[ang_idx] - s.real[ang_idx]
+        dq = q_sched[mag_idx] - s.imag[mag_idx]
         rhs = np.concatenate([dp, dq])
         mismatch = float(np.max(np.abs(rhs))) if rhs.size else 0.0
         if mismatch <= tol:
             return VoltageState(magnitudes=vm, angles=va)
         if it == max_iter:
             break
-        h, nm, m, l, _, _ = _jacobian(network.ybus, vm, va)
+        h, nm, m, l, _, _ = _jacobian(network, vm, va)
         jac = np.block(
             [
                 [h[np.ix_(ang_idx, ang_idx)], nm[np.ix_(ang_idx, mag_idx)]],
@@ -280,7 +291,7 @@ def qv_sensitivity(
     free = [i for i in range(network.n) if i not in set(fixed)]
     if not free:
         raise ValueError("no free buses for sensitivity")
-    h, nm, m, l, _, _ = _jacobian(network.ybus, state.magnitudes, state.angles)
+    h, nm, m, l, _, _ = _jacobian(network, state.magnitudes, state.angles)
     hf = h[np.ix_(free, free)]
     nf = nm[np.ix_(free, free)]
     mf = m[np.ix_(free, free)]

@@ -173,6 +173,9 @@ class ThreePhaseNetwork:
         slacks = [b.id for b in self.buses if b.kind is BusKind.SLACK]
         if len(slacks) != 1:
             raise ValueError("exactly one slack bus required")
+        for br in self.branches:
+            if not (0 <= br.from_bus < self.n and 0 <= br.to_bus < self.n):
+                raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
 
     @property
     def n(self) -> int:
@@ -255,12 +258,15 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
         )
 
     base_mva, base_kv = _read_records(text, {"BUS3": bus3, "BRANCH3": branch3})
-    return ThreePhaseNetwork(
-        buses=_bus_tuple(buses),
-        branches=tuple(branches),
-        base_mva=base_mva,
-        base_kv=base_kv,
-    )
+    try:
+        return ThreePhaseNetwork(
+            buses=_bus_tuple(buses),
+            branches=tuple(branches),
+            base_mva=base_mva,
+            base_kv=base_kv,
+        )
+    except ValueError as exc:
+        raise CaseFormatError(str(exc)) from None
 
 
 def build_ybus3(net3: ThreePhaseNetwork) -> np.ndarray:

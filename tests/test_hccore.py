@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hostcap.hccore import (
     adjust_thermal,
     branch_current,
     critical_angle,
+    finalize_solution,
     pf_q_bounds,
     power_factors,
     solve_hc,
@@ -21,10 +25,14 @@ from hostcap.hccore import (
     thermal_utilization,
     weighted_hc,
 )
-from hostcap.netmodel import Branch, Bus, BusKind, Network
+from hostcap.netmodel import Branch, Bus, BusKind, Network, parse_case
 from hostcap.powerflow import InjectionProfile, VoltageState
 
-from conftest import load_fixture
+from conftest import FIXTURE_DIR, load_fixture
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from feeders import make_feeder  # noqa: E402
 
 RNG = np.random.default_rng(911)
 
@@ -250,6 +258,16 @@ def test_thermal_zero_limit_equalizes_endpoints(net3):
     assert out.hc_total < sol.hc_total
 
 
+@pytest.mark.parametrize("cap, held", [(0.03, 1.0), (0.005, 1.02), (0.007, 0.98), (0.008, 1.01)])
+def test_thermal_tie_at_a_leaf_takes_the_lower_root(net3, cap, held):
+    # both roots held -+ cap give the leaf branch the same term and the objective the same value
+    net = three_bus_limited(net3, cap)
+    c = ConstraintSet()
+    state = VoltageState(magnitudes=np.array([1.0, held, 0.95]), angles=np.zeros(3))
+    out = adjust_thermal(net, c, finalize_solution(net, c, state, stage="voltage_pattern"))
+    np.testing.assert_allclose(out.state.magnitudes, [1.0, held, held - cap], atol=1e-12)
+
+
 def test_thermal_infeasible_limit_reports_branch():
     net = load_fixture("3bus_complex.case")
     net = with_limit(net, 1, 1e-6)
@@ -390,3 +408,23 @@ def test_power_factor_floor_counts_round_off_as_unity(net3):
     # |S| at or below 1e-9 is no injection; just above it the ratio counts
     inj = InjectionProfile(p=np.array([4e-12, 0.0, 0.0]), q=np.array([-3e-12, 1e-9, 2e-9]))
     np.testing.assert_array_equal(power_factors(net3, inj), [1.0, 1.0, 0.0])
+
+
+def test_solve_without_eta_never_builds_the_dense_ybus():
+    for path in sorted(FIXTURE_DIR.glob("*.case")):
+        net = parse_case(path.read_text())
+        solve_hc(net, ConstraintSet(theta_max=0.004))
+        assert "ybus" not in vars(net), path.name
+
+
+def test_thermal_solve_at_4000_buses_stays_linear_in_memory():
+    net = parse_case(make_feeder(4000, 7, thermal=True, loads=False).text)
+    tracemalloc.start()
+    try:
+        sol = solve_hc(net, ConstraintSet(theta_max=0.004))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.stage == "thermal_adjusted"
+    assert "ybus" not in vars(net)
+    assert peak < 16e6  # the dense 4000-bus Ybus alone would take 256 MB

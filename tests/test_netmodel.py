@@ -11,12 +11,14 @@ from hostcap.netmodel import (
     Network,
     TopologyError,
     assign_parity,
+    build_ybus,
     parse_case,
     serialize_case,
 )
+from hostcap.powerflow import bus_injections
 from hostcap.sequence import parse_case3
 
-from conftest import load_fixture
+from conftest import FIXTURE_DIR, load_fixture
 
 THREE_BUS = """
 BASE 1.0 12.47
@@ -80,6 +82,14 @@ def test_parse_rejects_garbage():
             parse("BASE 1 1 7\n")
         with pytest.raises(CaseFormatError, match="LIMITS takes"):
             parse("BASE 1 1\nLIMITS 0.95\n")
+    # a branch to a missing bus is refused by both network types, with one message
+    with pytest.raises(CaseFormatError, match="branch 0-9: unknown bus id"):
+        parse_case("BASE 1 1\nBUS 0 slack 0 0 0\nBUS 1 gen 0 0 1\nBRANCH 0 9 0.1 0.1\n")
+    with pytest.raises(CaseFormatError, match="branch 0-9: unknown bus id"):
+        parse_case3(
+            "BASE 1 1\nBUS3 0 slack 0 0 0 0 0 0 0\nBUS3 1 gen 0 0 0 0 0 0 1\n"
+            "BRANCH3 0 9 0.1 0.1 0 0 0 0 0 0 0.1 0.1 0 0 0 0 0 0 0.1 0.1\n"
+        )
 
 
 def test_parse_eight_bus_fixture():
@@ -130,6 +140,22 @@ def test_shunt_folded_into_diagonal():
     delta = net.ybus - base.ybus
     assert delta[1, 1] == pytest.approx(0.5 - 0.25j)
     assert abs(delta).sum() == pytest.approx(abs(delta[1, 1]))
+
+
+def test_bus_injections_match_the_dense_ybus():
+    rng = np.random.default_rng(20261018)
+    texts = [path.read_text() for path in sorted(FIXTURE_DIR.glob("*.case"))]
+    texts.append(THREE_BUS + "SHUNT 1 0.5 -0.25\n")  # no fixture carries a shunt
+    for text in texts:
+        net = parse_case(text)
+        ybus = build_ybus(net)
+        v = rng.uniform(0.9, 1.1, (5, net.n)) * np.exp(1j * rng.uniform(-0.1, 0.1, (5, net.n)))
+        for state in v:
+            dense = state * np.conj(ybus @ state)
+            np.testing.assert_allclose(bus_injections(net, state), dense, rtol=0, atol=1e-12)
+        dense = v * np.conj(v @ ybus.T)  # a (k, n) batch
+        np.testing.assert_allclose(bus_injections(net, v), dense, rtol=0, atol=1e-12)
+        assert "ybus" not in vars(net)  # the kernel never builds the dense matrix
 
 
 def test_parity_chain():

@@ -105,6 +105,28 @@ def test_untransposed_line_couples_but_keeps_diagonals():
     assert np.all(np.abs(np.diag(seq.y1)) > 0)
 
 
+@pytest.mark.parametrize(
+    "name", ["8bus_balanced.case3", "8bus_unbalanced_load.case3", "8bus_untransposed.case3"]
+)
+def test_sequence_ybus_matches_the_blockwise_transform(name):
+    y_abc = build_ybus3(parse_case3(fixture_text(name)))
+    n = y_abc.shape[0] // 3
+    seq = sequence_ybus(y_abc)
+    # (sequence row, sequence column) of each returned matrix
+    parts = {(0, 0): seq.y0, (1, 1): seq.y1, (2, 2): seq.y2,
+             (0, 1): seq.cross_0_from_1, (2, 1): seq.cross_2_from_1}
+    coupling = 0.0
+    for i in range(n):
+        for k in range(n):
+            b012 = TRANSFORM_INV @ y_abc[3 * i : 3 * i + 3, 3 * k : 3 * k + 3] @ TRANSFORM
+            for (row, col), full in parts.items():
+                assert abs(full[i, k] - b012[row, col]) <= 1e-12 * max(1.0, abs(b012[row, col]))
+            if np.any(b012):
+                off = np.abs(b012 - np.diag(np.diag(b012))).max()
+                coupling = max(coupling, off / max(np.abs(np.diag(b012)).max(), 1e-30))
+    assert seq.coupling == pytest.approx(coupling, rel=1e-9, abs=1e-15)
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError, match="multiple of 3"):
         sequence_ybus(np.eye(4, dtype=complex))
