@@ -315,20 +315,16 @@ def finalize_solution(network: Network, c: ConstraintSet, state: VoltageState, s
     )
 
 
-def _pattern_state(
-    network: Network,
-    c: ConstraintSet,
-    depths: np.ndarray,
-    root_vm: float | None = None,
-) -> VoltageState:
-    """Optimal magnitude/angle pattern under ``c`` for given tree depths.
+def _pattern_stage(network: Network, c: ConstraintSet) -> HCSolution:
+    """Optimal magnitude/angle pattern under ``c``.
 
     Angles alternate 0 / min(pi, theta_max) by depth parity, shifted so the
     root (slack) sits at zero.  Non-root magnitudes alternate v_max (odd
     depth) / v_min (even depth), or sit at v_max everywhere once theta_max
-    exceeds the critical angle.  ``depths`` may be global depths of a
-    subnetwork, so boundary buses keep their global parity.
+    exceeds the critical angle.
     """
+    _check_conductance_signs(network)
+    _, depths, _ = bfs_tree(network)
     theta = min(math.pi, c.theta_max)
     all_high = c.theta_max > critical_angle(c.v_max, c.v_min)
     root = network.slack_index
@@ -337,24 +333,11 @@ def _pattern_state(
         mags = np.full(network.n, c.v_max, dtype=float)
     else:
         mags = np.where(par == 1, c.v_max, c.v_min).astype(float)
-    mags[root] = root_vm if root_vm is not None else network.slack_vm
+    mags[root] = network.slack_vm
     angles = theta * par.astype(float)
     angles = angles - angles[root]
-    return VoltageState(magnitudes=mags, angles=angles)
-
-
-def _pattern_stage(
-    network: Network,
-    c: ConstraintSet,
-    depths: np.ndarray | None = None,
-    root_vm: float | None = None,
-) -> HCSolution:
-    _check_conductance_signs(network)
-    if depths is None:
-        _, depths, _ = bfs_tree(network)
-    state = _pattern_state(network, c, depths, root_vm=root_vm)
     stage = "voltage_pattern" if c.theta_max == 0 else "angle_pattern"
-    return finalize_solution(network, c, state, stage=stage)
+    return finalize_solution(network, c, VoltageState(magnitudes=mags, angles=angles), stage=stage)
 
 
 def solve_voltage_only(network: Network, c: ConstraintSet) -> HCSolution:
@@ -477,6 +460,10 @@ def adjust_thermal(
             cos_t = math.cos(angles[i] - angles[k])
 
             options = clamp_pairs([float(mags[hold])], cos_t, kappa2)
+            if not options and hold in immutable:
+                raise BoundaryConflict(
+                    f"thermal limit on branch {i}-{k} needs the fixed boundary bus {hold} to move"
+                )
             if not options and hold not in fixed_buses:
                 # last resort: let the held side scan the box too
                 grid = [float(a) for a in np.linspace(c.v_min, c.v_max, 201)]
@@ -602,19 +589,17 @@ def solve_hc_stages(
     network: Network,
     c: ConstraintSet,
     immutable: frozenset[int] = frozenset(),
-    depths: np.ndarray | None = None,
-    root_vm: float | None = None,
 ) -> list[HCSolution]:
     """Run the constructive pipeline, returning each produced stage.
 
     Pattern stage, then thermal and power-factor corrections; the two
     corrections are repeated (bounded) until both limit families hold at
     once, since the power-factor re-solve can disturb a clamped current.
-    ``depths``/``root_vm``/``immutable`` let a partitioned solve anchor a
-    subsystem to the parity pattern and boundary values of its parent
-    network.
+    Buses in ``immutable`` keep their pattern values: a correction that
+    would move one raises :class:`BoundaryConflict`.  The partitioned solve
+    passes its cut buses here.
     """
-    sol = _pattern_stage(network, c, depths=depths, root_vm=root_vm)
+    sol = _pattern_stage(network, c)
     stages = [sol]
     for _ in range(8):
         t = adjust_thermal(network, c, sol, immutable=immutable)

@@ -1,37 +1,27 @@
-"""Segment a radial feeder at cut buses and solve each piece independently.
+"""Segment a radial feeder at cut buses and solve with the cuts held fixed.
 
 A cut bus belongs to two subsystems: the one containing everything on its
 slack side and the one rooted at the cut itself (all its subtrees).  Because
-the optimal voltage pattern is known in closed form from the global tree
-depths, the shared boundary voltages can be fixed up front, so the per-
-subsystem solves need no coordination loop: the consistency constraint
-between neighbouring segments holds by construction.  Each subsystem then
-runs the ordinary pipeline with its boundary buses held immutable; stitched
-results are re-verified globally, and any correction that would have to
-cross a boundary falls back to the monolithic solve (logged).
+the optimal voltage pattern is known in closed form from the tree depths,
+every boundary voltage is fixed up front, so the segments need no
+coordination loop: neighbouring segments agree on a cut bus by construction.
+The solve is therefore one pass of the ordinary pipeline over the whole tree
+with the cut buses held at their pattern values; any correction that would
+have to move a cut bus falls back to the monolithic solve (logged).
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hccore import (
-    AdjustmentError,
-    ConstraintSet,
-    HCSolution,
-    _pattern_state,
-    finalize_solution,
-    solve_hc,
-    solve_hc_stages,
-    verify,
-)
-from .netmodel import Bus, BusKind, Network, bfs_tree
-from .powerflow import VoltageState, evaluate_injections
+from .hccore import AdjustmentError, ConstraintSet, HCSolution, solve_hc, solve_hc_stages
+from .hccore import finalize_solution  # noqa: F401  kept as a module attribute: bench/tracer.py shims it here
+from .netmodel import Network, bfs_tree
+from .powerflow import evaluate_injections  # noqa: F401  likewise
 
 __all__ = [
     "Subsystem",
@@ -124,93 +114,26 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
     return Partition(subsystems=tuple(subsystems), cut_buses=tuple(sorted(cut_set)))
 
 
-def _subnetwork(network: Network, sub: Subsystem) -> tuple[Network, dict[int, int]]:
-    local = {g: l for l, g in enumerate(sub.buses)}
-    buses = []
-    for g in sub.buses:
-        b = network.buses[g]
-        kind = BusKind.SLACK if g == sub.root else (b.kind if b.kind is not BusKind.SLACK else BusKind.LOAD)
-        buses.append(Bus(id=local[g], kind=kind, load_p=b.load_p, load_q=b.load_q, lam=b.lam))
-    branches = tuple(
-        replace(network.branches[bi], from_bus=local[network.branches[bi].from_bus],
-                to_bus=local[network.branches[bi].to_bus])
-        for bi in sub.branch_indices
-    )
-    net = Network(
-        buses=tuple(buses),
-        branches=branches,
-        base_mva=network.base_mva,
-        base_kv=network.base_kv,
-        slack_vm=network.slack_vm,  # overridden by root_vm in the pattern stage
-    )
-    return net, local
-
-
 def solve_distributed_hc(
     network: Network,
     c: ConstraintSet,
     p: Partition,
     workers: int | None = None,
 ) -> HCSolution:
-    """Solve every subsystem concurrently and stitch the results.
+    """Solve with every cut bus held at its pattern value; ``workers`` has no effect.
 
-    Boundary (cut) voltages are pinned to the global pattern, so neighbouring
-    segments agree on them by construction.  Falls back to the monolithic
-    solve when a correction would cross a boundary or the stitched state
-    fails global re-verification.
+    One pass of the ordinary pipeline over the whole tree, so each cut bus
+    is seen with its full injection.  Falls back to the monolithic solve
+    (logged) when a correction would have to move a cut bus.
     """
     if not p.cut_buses:
         return solve_hc(network, c)
-    _, depths, _ = bfs_tree(network)
-    pattern = _pattern_state(network, c, depths)
-    cut_set = set(p.cut_buses)
-
-    def solve_one(sub: Subsystem):
-        net, local = _subnetwork(network, sub)
-        sub_depths = np.array([depths[g] for g in sub.buses])
-        immutable = frozenset(local[g] for g in sub.buses if g in cut_set and g != sub.root)
-        stages = solve_hc_stages(
-            net,
-            c,
-            immutable=immutable,
-            depths=sub_depths,
-            root_vm=float(pattern.magnitudes[sub.root]),
-        )
-        return sub, local, stages[-1]
-
-    nworkers = workers or len(p.subsystems)
     try:
-        if nworkers > 1:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(solve_one, p.subsystems))
-        else:
-            results = [solve_one(sub) for sub in p.subsystems]
+        stages = solve_hc_stages(network, c, immutable=frozenset(p.cut_buses))
     except AdjustmentError as exc:
         logger.warning("partitioned solve fell back to monolithic: %s", exc)
         return solve_hc(network, c)
-
-    mags = np.full(network.n, np.nan)
-    angles = np.full(network.n, np.nan)
-    for sub, local, sol in results:
-        shift = float(pattern.angles[sub.root])
-        for g in sub.buses:
-            m = float(sol.state.magnitudes[local[g]])
-            a = float(sol.state.angles[local[g]]) + shift
-            if not np.isnan(mags[g]) and (mags[g] != m or angles[g] != a):
-                logger.warning(
-                    "partitioned solve fell back to monolithic: boundary mismatch at bus %d", g
-                )
-                return solve_hc(network, c)
-            mags[g] = m
-            angles[g] = a
-    state = VoltageState(magnitudes=mags, angles=angles)
-    failures = verify(network, c, state.phasors, evaluate_injections(network, state).s).failures()
-    # theta is left out, as in the pipeline's joint check: the pf re-solve moves angles
-    problem = next((f for f in failures if f[0] != "theta"), None)
-    if problem is not None:
-        logger.warning("partitioned solve fell back to monolithic: %s limit violated at %d", *problem)
-        return solve_hc(network, c)
-    return finalize_solution(network, c, state, stage="distributed")
+    return replace(stages[-1], stage="distributed")
 
 
 def partition_benchmark(
@@ -220,7 +143,11 @@ def partition_benchmark(
     workers: int | None = None,
     repeats: int = 3,
 ) -> dict:
-    """Wall-time comparison of monolithic vs partitioned solve (reported, not asserted)."""
+    """Wall-time comparison of monolithic vs partitioned solve (reported, not asserted).
+
+    ``workers`` has no effect on either solve; it is reported as given, or
+    as the subsystem count when unset.
+    """
     part = make_partition(network, cut_buses)
     solve_hc(network, c)  # untimed warm-up of both paths, so no repeat pays first-call costs
     solve_distributed_hc(network, c, part, workers=workers)

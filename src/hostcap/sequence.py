@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,9 +141,9 @@ class ThreePhaseBranch:
             raise ValueError("branch impedance block must be 3x3")
         object.__setattr__(self, "z", z)
 
-    @property
+    @cached_property
     def series_admittance(self) -> np.ndarray:
-        """3x3 admittance block; absent phases (zero rows) stay zero."""
+        """3x3 admittance block (read-only, inverted once); absent phases (zero rows) stay zero."""
         z = self.z
         present = [p for p in range(3) if np.any(z[p] != 0) or np.any(z[:, p] != 0)]
         y = np.zeros((3, 3), dtype=complex)
@@ -155,6 +156,7 @@ class ThreePhaseBranch:
                     f"branch {self.from_bus}-{self.to_bus}: singular impedance block"
                 ) from None
             y[np.ix_(present, present)] = y_sub
+        y.flags.writeable = False
         return y
 
 

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,12 @@ import pytest
 from hostcap.netmodel import parse_case
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# pyproject.toml puts src/ on this process's path; the CLI tests' `python -m hostcap.cli`
+# subprocesses see only the environment, so they get it from PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(FIXTURE_DIR.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def fixture_text(name: str) -> str:
