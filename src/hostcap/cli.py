@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Commands: solve | oracle | unbalanced | screen | partition-bench.  Reports
-are JSON on stdout (sorted keys, so identical inputs give byte-identical
-output); diagnostics go to stderr.  Exit codes: 0 success, 1 input error,
-2 infeasibility.  Timing sections are nondeterministic and therefore only
-included with --timings (partition-bench always reports them; that is its
-job).  Constraint precedence: command-line flags beat a LIMITS line in the
-case file, which beats the built-in defaults.  Set HOSTCAP_LOG=DEBUG (or
-INFO/WARNING) for stderr logging.
+are one line of JSON on stdout (sorted keys, so identical inputs give
+byte-identical output); diagnostics go to stderr.  Exit codes: 0 success,
+1 input error, 2 infeasibility.  Timing sections are nondeterministic and
+therefore only included with --timings (partition-bench always reports
+them; that is its job).  Constraint precedence: command-line flags beat a
+LIMITS line in the case file, which beats the built-in defaults.  Set
+HOSTCAP_LOG=DEBUG (or INFO/WARNING) for stderr logging.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _base_report(command: str, path: str, text: str, c: ConstraintSet) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    out = json.dumps(report, sort_keys=True) + "\n"  # no indent: keeps the C encoder
     sys.stdout.write(out)
     if getattr(args, "output", None):
         Path(args.output).write_text(out)

@@ -296,18 +296,16 @@ def sequence_ybus(y_abc: np.ndarray) -> SequenceSystem:
     if y_abc.shape[0] != y_abc.shape[1] or y_abc.shape[0] % 3 != 0:
         raise ValueError("phase admittance matrix must be square with dimension a multiple of 3")
     n = y_abc.shape[0] // 3
+    blocks = y_abc.reshape(n, 3, n, 3)  # [i, phase_row, k, phase_col]
+    i, k = np.nonzero(np.any(blocks != 0, axis=(1, 3)))
+    b012 = TRANSFORM_INV @ blocks[i, :, k, :] @ TRANSFORM  # one 3x3 product per nonzero block
     seq = np.zeros((3, 3, n, n), dtype=complex)  # [m_row, m_col, i, k]
-    coupling = 0.0
-    for i in range(n):
-        for k in range(n):
-            block = y_abc[3 * i : 3 * i + 3, 3 * k : 3 * k + 3]
-            if not np.any(block):
-                continue
-            b012 = TRANSFORM_INV @ block @ TRANSFORM
-            seq[:, :, i, k] = b012
-            diag_scale = max(np.max(np.abs(np.diag(b012))), 1e-30)
-            off = b012 - np.diag(np.diag(b012))
-            coupling = max(coupling, float(np.max(np.abs(off)) / diag_scale))
+    seq[:, :, i, k] = np.moveaxis(b012, 0, -1)
+    mags = np.abs(b012)
+    diag = mags[:, range(3), range(3)]
+    mags[:, range(3), range(3)] = 0.0
+    ratio = mags.max(axis=(1, 2)) / np.maximum(diag.max(axis=1), 1e-30)
+    coupling = float(ratio.max(initial=0.0))  # 0.0 when no block is nonzero
     return SequenceSystem(
         y0=seq[0, 0],
         y1=seq[1, 1],
@@ -370,21 +368,16 @@ def unbalance_currents(
     division finite.
     """
     v1 = state.phasors
-    n = net3.n
-    i_abc = np.zeros((n, 3), dtype=complex)
-    floored = []
-    for b in net3.buses:
-        s_ph = b.load.array
-        if not np.any(s_ph):
-            continue
-        v_ph = v1[b.id] * TRANSFORM[:, 1]  # balanced rotation of the positive phasor
-        mags = np.abs(v_ph)
-        if np.any((mags < VOLTAGE_FLOOR) & (s_ph != 0)):
-            floored.append(b.id)
-        v_safe = np.where(mags < VOLTAGE_FLOOR, VOLTAGE_FLOOR, v_ph)
-        i_abc[b.id] = np.conj(s_ph / v_safe)
+    s_ph = np.array([b.load.array for b in net3.buses])  # (n, 3) power per bus and phase
+    loaded = np.any(s_ph != 0, axis=1)
+    v_ph = v1[:, None] * TRANSFORM[:, 1]  # balanced rotation of the positive phasor
+    low = np.abs(v_ph) < VOLTAGE_FLOOR
+    floored = np.flatnonzero(np.any(low & (s_ph != 0), axis=1)).tolist()
     if floored:
         logger.warning("phase voltage floored to %g p.u. at buses %s", VOLTAGE_FLOOR, floored)
+    v_safe = np.where(low, VOLTAGE_FLOOR, v_ph)
+    i_abc = np.zeros(s_ph.shape, dtype=complex)  # unloaded buses draw exactly 0, not -0j
+    i_abc[loaded] = np.conj(s_ph[loaded] / v_safe[loaded])
     i_seq = to_sequence(i_abc)  # (n, 3): load currents drawn per sequence
     i0 = -i_seq[:, 0] - seq.cross_0_from_1 @ v1
     i2 = -i_seq[:, 2] - seq.cross_2_from_1 @ v1
@@ -414,14 +407,17 @@ def _solve_sequence_nodal(
     n = y_m.shape[0]
     free = [i for i in range(n) if i != slack]
     sub = y_m[np.ix_(free, free)]
+    v = np.zeros(n, dtype=complex)
     if sub.size:
-        cond = np.linalg.cond(sub)
-        if not np.isfinite(cond) or cond > 1e12:
+        # 1-norm condition number from one inverse; an SVD (2-norm) costs several times more
+        try:
+            kappa = np.linalg.norm(sub, 1) * np.linalg.norm(np.linalg.inv(sub), 1)
+        except np.linalg.LinAlgError:
+            kappa = math.inf
+        if not np.isfinite(kappa) or kappa > 1e12:
             raise SequenceSingularError(
                 f"{label}-sequence nodal matrix is singular (no return path)"
             )
-    v = np.zeros(n, dtype=complex)
-    if sub.size:
         v[free] = np.linalg.solve(sub, i_m[free])
     return v
 
@@ -437,8 +433,7 @@ def solve_unbalanced_hc(
     the zero/negative nodal equations for the unbalance, recombines to phase
     voltages and checks the magnitude box per phase.
     """
-    y_abc = build_ybus3(net3)
-    seq = sequence_ybus(y_abc)
+    seq = sequence_ybus(build_ybus3(net3))  # the 3n x 3n phase matrix is freed before the solves
     if seq.coupling > coupling_threshold:
         raise DecouplingError(
             f"cross-sequence coupling {seq.coupling:.3f} exceeds threshold "

@@ -2,8 +2,9 @@
 
 ``bench/`` patches library functions by module attribute and judges results
 with a checker of its own.  These tests keep both ends in step: every shim
-target must exist, and the library's verifier must agree with the
-checker, two independent implementations of the same limits.
+target must exist, the library's verifier must agree with the checker, two
+independent implementations of the same limits, and one op of each gated
+workload must run through the harness to a report that agrees with itself.
 """
 
 import importlib
@@ -12,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hostcap.hccore import LIMITS, ConstraintSet, verify
 from hostcap.netmodel import parse_case
@@ -21,6 +23,8 @@ from conftest import FIXTURE_DIR
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import checker  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
 from tracer import SHIMS  # noqa: E402
 
 BOUNDS = {"v_min": 0.95, "v_max": 1.05, "theta_max": 0.02, "eta": 0.9}
@@ -76,3 +80,15 @@ def test_verify_agrees_with_the_bench_checker():
                 seen[problem, violated] += 1
     for problem in FAMILIES:
         assert seen[problem, True] and seen[problem, False], (problem, seen)
+
+
+@pytest.mark.parametrize("workload", ["radial_thermal", "three_phase", "oracle_cert"])
+def test_first_warmup_op_runs_through_the_harness(workload, tmp_path):
+    manifest = workloads.build(workload, 1, tmp_path, FIXTURE_DIR.parent)
+    case = manifest["warmup"][0]
+    hostcap = worker._import_hostcap()
+    runner = worker.Runner(hostcap, {"blocks": [[case]], "warmup": []})
+    code, out = worker.run_op(hostcap, case)
+    problems, inconsistent, _ = runner.verdict(case, code, out)
+    assert code == 0
+    assert not inconsistent, (case["id"], problems, inconsistent)
