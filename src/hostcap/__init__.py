@@ -7,7 +7,6 @@ from .netmodel import (
     CaseFormatError,
     Network,
     TopologyError,
-    assign_parity,
     build_ybus,
     parse_case,
     serialize_case,
@@ -19,7 +18,6 @@ from .powerflow import (
     VoltageState,
     evaluate_injections,
     polar_form_total,
-    qv_sensitivity,
     quadratic_form_total,
     solve_newton,
 )
@@ -30,7 +28,6 @@ from .hccore import (
     InfeasibleError,
     adjust_power_factor,
     adjust_thermal,
-    branch_current,
     critical_angle,
     pf_q_bounds,
     solve_hc,
@@ -46,7 +43,7 @@ from .oracle import (
     incremental_screening,
     pv_curve_surface,
 )
-from .partition import Partition, make_partition, partition_benchmark, solve_distributed_hc
+from .partition import Partition, make_partition, solve_distributed_hc
 from .sequence import (
     DecouplingError,
     PhaseVector,

@@ -1,11 +1,10 @@
 """Command-line front end.
 
-Commands: solve | oracle | unbalanced | screen | partition-bench.  Reports
-are one line of JSON on stdout (sorted keys, so identical inputs give
-byte-identical output); diagnostics go to stderr.  Exit codes: 0 success,
-1 input error, 2 infeasibility.  Timing sections are nondeterministic and
-therefore only included with --timings (partition-bench always reports
-them; that is its job).  Constraint precedence: command-line flags beat a
+Commands: solve | oracle | unbalanced | screen.  Reports are one line of
+JSON on stdout (sorted keys, so identical inputs give byte-identical output);
+diagnostics go to stderr.  Exit codes: 0 success, 1 input or usage error,
+2 infeasibility.  Timing sections are nondeterministic and therefore only
+included with --timings.  Constraint precedence: command-line flags beat a
 LIMITS line in the case file, which beats the built-in defaults.  Set
 HOSTCAP_LOG=DEBUG (or INFO/WARNING) for stderr logging.
 """
@@ -15,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -39,7 +39,7 @@ from .oracle import (
     incremental_screening,
     pv_curve_surface,
 )
-from .partition import make_partition, partition_benchmark, solve_distributed_hc
+from .partition import make_partition, solve_distributed_hc
 from .powerflow import PowerFlowError
 from .sequence import DecouplingError, SequenceSingularError, parse_case3, solve_unbalanced_hc
 
@@ -104,7 +104,7 @@ def _solution_json(sol: HCSolution) -> dict:
 
 def _base_report(command: str, path: str, text: str, c: ConstraintSet) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool_version": __version__,
         "command": command,
         "input": {"path": path, "digest": _digest(text)},
@@ -117,11 +117,14 @@ def _base_report(command: str, path: str, text: str, c: ConstraintSet) -> dict:
     }
 
 
-def _emit(report: dict, args) -> None:
-    out = json.dumps(report, sort_keys=True) + "\n"  # no indent: keeps the C encoder
+def _write(out: str, args) -> None:
     sys.stdout.write(out)
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(out)
+
+
+def _emit(report: dict, args) -> None:
+    _write(json.dumps(report, sort_keys=True) + "\n", args)  # no indent: keeps the C encoder
 
 
 def cmd_solve(args) -> int:
@@ -143,12 +146,11 @@ def cmd_solve(args) -> int:
     if args.cut:
         part = make_partition(net, args.cut)
         t1 = time.perf_counter()
-        dist = solve_distributed_hc(net, c, part, workers=args.workers)
+        dist = solve_distributed_hc(net, c, part)
         timings["distributed_ms"] = (time.perf_counter() - t1) * 1000.0
         report["partition"] = {
             "cuts": list(part.cut_buses),
             "subsystems": len(part.subsystems),
-            "workers": args.workers or len(part.subsystems),
             "hc_monolithic": float(final.hc_total),
             "hc_distributed": float(dist.hc_total),
         }
@@ -235,40 +237,18 @@ def cmd_screen(args) -> int:
     c = _constraints(args, text)
     rows = incremental_screening(net, c, step=args.step)
     if args.format == "csv":
-        w = csv.writer(sys.stdout)
+        buf = io.StringIO()
+        w = csv.writer(buf)
         w.writerow(["bus", "hc_pu", "steps", "status"])
         for r in rows:
             w.writerow([r.bus, repr(r.hc), r.steps, r.status])
+        _write(buf.getvalue(), args)
         return EXIT_OK
     report = _base_report("screen", args.case, text, c)
     report["screening"] = [
         {"bus": r.bus, "hc": float(r.hc), "steps": r.steps, "status": r.status} for r in rows
     ]
     report["result"] = {"hc_total": float(max((r.hc for r in rows), default=0.0)), "stage": "screening"}
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_partition_bench(args) -> int:
-    text = _read_case(args.case)
-    net = parse_case(text)
-    c = _constraints(args, text)
-    if not args.cut:
-        raise CaseFormatError("partition-bench requires --cut")
-    bench = partition_benchmark(net, c, args.cut, workers=args.workers)
-    report = _base_report("partition-bench", args.case, text, c)
-    report["partition"] = {
-        "cuts": list(args.cut),
-        "subsystems": bench["subsystems"],
-        "workers": bench["workers"],
-        "hc_monolithic": bench["hc_monolithic"],
-        "hc_distributed": bench["hc_distributed"],
-    }
-    report["timings"] = {
-        "monolithic_ms": bench["monolithic_ms"],
-        "distributed_ms": bench["distributed_ms"],
-    }
-    report["result"] = {"hc_total": bench["hc_distributed"], "stage": "distributed"}
     _emit(report, args)
     return EXIT_OK
 
@@ -280,8 +260,16 @@ def _parse_cuts(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad cut list: {value!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like any other input error; 2 means infeasible."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hostcap",
         description="Hosting-capacity analysis of radial feeders",
     )
@@ -295,15 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-max", dest="theta_max", type=float, default=None,
                        help="branch angle-difference bound, rad")
         p.add_argument("--eta", type=float, default=None, help="generator power-factor floor")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--timings", action="store_true", help="include wall-time section")
-        p.add_argument("--output", default=None, help="also write the report to this file")
+        p.add_argument("--output", default=None, help="also write stdout to this file")
 
     p_solve = sub.add_parser("solve", help="constructive hosting-capacity solve")
     common(p_solve)
     p_solve.add_argument("--cut", type=_parse_cuts, default=None,
                          help="comma-separated cut buses for a partitioned solve")
+    p_solve.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
+    p_solve.add_argument("--timings", action="store_true", help="include wall-time section")
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="grid-search verification + figure data")
@@ -313,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--angle-steps", dest="angle_steps", type=int, default=11,
                           help="angle steps per branch (used when theta-max > 0)")
     p_oracle.add_argument("--outdir", default=".", help="directory for surface.csv / pairs.csv")
+    p_oracle.add_argument("--workers", type=int, default=None, help="grid-search threads")
+    p_oracle.add_argument("--timings", action="store_true", help="include wall-time section")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_unb = sub.add_parser("unbalanced", help="multi-phase solve via sequence components")
@@ -322,12 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen = sub.add_parser("screen", help="per-bus incremental screening baseline")
     common(p_screen)
     p_screen.add_argument("--step", type=float, default=1e-3, help="injection increment, p.u.")
+    p_screen.add_argument("--format", choices=["json", "csv"], default="json")
     p_screen.set_defaults(func=cmd_screen)
-
-    p_bench = sub.add_parser("partition-bench", help="monolithic vs partitioned timing")
-    common(p_bench)
-    p_bench.add_argument("--cut", type=_parse_cuts, default=None)
-    p_bench.set_defaults(func=cmd_partition_bench)
 
     return parser
 

@@ -22,11 +22,11 @@ is maximised constructively rather than by a general NLP solver.  The stages:
    at the bound and the voltages re-solved by a damped Newton iteration.
 
 ``solve_hc`` runs the full pipeline and re-verifies thermal and power-factor
-feasibility jointly.  Every feasibility verdict, here and in the oracle,
-partition and sequence modules, comes from :func:`verify` and its single
-tolerance table ``TOL``.  The construction assumes off-diagonal
-conductances are non-positive (true for any branch with r >= 0); networks
-violating that are refused rather than silently mis-solved.
+feasibility jointly.  Every feasibility verdict, here and in the oracle
+and sequence modules, comes from :func:`verify` and its single tolerance
+table ``TOL``.  The construction assumes off-diagonal conductances are
+non-positive (true for any branch with r >= 0); networks violating that are
+refused rather than silently mis-solved.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netmodel import Branch, BusKind, Network, bfs_tree
+from .netmodel import BusKind, Network, bfs_tree
 from .powerflow import (
     BusSetpoint,
     InjectionProfile,
@@ -60,7 +60,6 @@ __all__ = [
     "critical_angle",
     "solve_voltage_only",
     "solve_with_angle",
-    "branch_current",
     "adjust_thermal",
     "pf_q_bounds",
     "adjust_power_factor",
@@ -68,7 +67,6 @@ __all__ = [
     "solve_hc_stages",
     "finalize_solution",
     "power_factors",
-    "thermal_utilization",
     "verify",
 ]
 
@@ -167,21 +165,6 @@ def _power_factor(s: np.ndarray) -> np.ndarray:
 def power_factors(network: Network, inj: InjectionProfile) -> np.ndarray:
     """|P|/|S| per bus; buses with |S| <= TOL["s_floor"] count as unity."""
     return _power_factor(inj.s)
-
-
-def branch_current(network: Network, state: VoltageState, branch: Branch) -> complex:
-    """Series current phasor of one branch, from its endpoint voltages."""
-    v = state.phasors
-    return branch.series_admittance * (v[branch.from_bus] - v[branch.to_bus])
-
-
-def thermal_utilization(network: Network, state: VoltageState) -> float:
-    """max over limited branches of |I|/C; 0.0 when nothing is limited."""
-    v = state.phasors
-    cur = np.abs(network.branch_y * (v[network.branch_from] - v[network.branch_to]))
-    with np.errstate(divide="ignore"):  # a zero limit carrying current is infinitely over
-        ratio = np.divide(cur, network.branch_limit, out=np.zeros_like(cur), where=cur > 0)
-    return float(np.max(ratio, initial=0.0))
 
 
 # --- feasibility verifier ------------------------------------------------------

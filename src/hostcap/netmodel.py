@@ -1,4 +1,4 @@
-"""Radial feeder model: case-file parsing, admittance assembly, parity labels.
+"""Radial feeder model: case-file parsing, admittance assembly, BFS tree.
 
 Buses and branches are plain immutable records; the :class:`Network` bundles
 them with per-branch arrays and assembles the dense admittance matrix only on
@@ -19,7 +19,7 @@ slack is bus 0, but any single bus may be declared ``slack``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -36,7 +36,6 @@ __all__ = [
     "serialize_case",
     "read_case_limits",
     "build_ybus",
-    "assign_parity",
     "bfs_tree",
 ]
 
@@ -63,9 +62,7 @@ class Bus:
     """A network node.
 
     ``lam`` is the non-negative objective weight of the bus (0 excludes the
-    bus from the hosting-capacity objective).  ``parity`` is the depth-mod-2
-    label used by the pattern solver; it is derived by :func:`assign_parity`,
-    never parsed.
+    bus from the hosting-capacity objective).
     """
 
     id: int
@@ -73,13 +70,10 @@ class Bus:
     load_p: float = 0.0
     load_q: float = 0.0
     lam: float = 1.0
-    parity: int | None = None
 
     def __post_init__(self) -> None:
         if self.lam < 0:
             raise ValueError(f"bus {self.id}: lambda must be non-negative")
-        if self.parity not in (None, 0, 1):
-            raise ValueError(f"bus {self.id}: parity must be 0, 1 or None")
 
 
 @dataclass(frozen=True)
@@ -232,8 +226,9 @@ def bfs_tree(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Breadth-first tree of a radial network rooted at the slack.
 
     Returns ``(parents, depths, order)`` where ``parents[slack] == -1`` and
-    ``order`` lists bus ids in visit order.  Raises :class:`TopologyError`
-    for non-radial networks (parity labels are only defined on trees).
+    ``order`` lists bus ids in visit order; ``depths % 2`` is the alternating
+    label of the voltage pattern.  Raises :class:`TopologyError` for
+    non-radial networks.
     """
     if not network.is_radial():
         raise TopologyError("non-radial network: expected exactly n-1 branches")
@@ -256,17 +251,6 @@ def bfs_tree(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
     if len(order) != n:
         raise TopologyError("non-radial network")
     return parents, depths, order
-
-
-def assign_parity(network: Network) -> Network:
-    """Label every bus with its depth-from-slack parity (slack is even).
-
-    Every branch of a tree joins an odd bus to an even bus, which is exactly
-    the alternating structure the pattern solver exploits.
-    """
-    _, depths, _ = bfs_tree(network)
-    buses = tuple(replace(b, parity=int(depths[b.id]) % 2) for b in network.buses)
-    return replace(network, buses=buses)
 
 
 # --- case-file I/O ---------------------------------------------------------

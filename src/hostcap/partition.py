@@ -13,7 +13,6 @@ have to move a cut bus falls back to the monolithic solve (logged).
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "Partition",
     "make_partition",
     "solve_distributed_hc",
-    "partition_benchmark",
 ]
 
 logger = logging.getLogger(__name__)
@@ -46,14 +44,6 @@ class Subsystem:
 class Partition:
     subsystems: tuple[Subsystem, ...]
     cut_buses: tuple[int, ...]
-
-    @property
-    def coupling_buses(self) -> tuple[int, ...]:
-        return self.cut_buses
-
-    def local_buses(self, n: int) -> tuple[int, ...]:
-        cuts = set(self.cut_buses)
-        return tuple(i for i in range(n) if i not in cuts)
 
 
 def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> Partition:
@@ -114,13 +104,8 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
     return Partition(subsystems=tuple(subsystems), cut_buses=tuple(sorted(cut_set)))
 
 
-def solve_distributed_hc(
-    network: Network,
-    c: ConstraintSet,
-    p: Partition,
-    workers: int | None = None,
-) -> HCSolution:
-    """Solve with every cut bus held at its pattern value; ``workers`` has no effect.
+def solve_distributed_hc(network: Network, c: ConstraintSet, p: Partition) -> HCSolution:
+    """Solve with every cut bus held at its pattern value.
 
     One pass of the ordinary pipeline over the whole tree, so each cut bus
     is seen with its full injection.  Falls back to the monolithic solve
@@ -135,34 +120,3 @@ def solve_distributed_hc(
         return solve_hc(network, c)
     return replace(stages[-1], stage="distributed")
 
-
-def partition_benchmark(
-    network: Network,
-    c: ConstraintSet,
-    cut_buses: list[int],
-    workers: int | None = None,
-    repeats: int = 3,
-) -> dict:
-    """Wall-time comparison of monolithic vs partitioned solve (reported, not asserted).
-
-    ``workers`` has no effect on either solve; it is reported as given, or
-    as the subsystem count when unset.
-    """
-    part = make_partition(network, cut_buses)
-    solve_hc(network, c)  # untimed warm-up of both paths, so no repeat pays first-call costs
-    solve_distributed_hc(network, c, part, workers=workers)
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        mono = solve_hc(network, c)
-    t1 = time.perf_counter()
-    for _ in range(repeats):
-        dist = solve_distributed_hc(network, c, part, workers=workers)
-    t2 = time.perf_counter()
-    return {
-        "monolithic_ms": (t1 - t0) / repeats * 1000.0,
-        "distributed_ms": (t2 - t1) / repeats * 1000.0,
-        "workers": workers or len(part.subsystems),
-        "subsystems": len(part.subsystems),
-        "hc_monolithic": mono.hc_total,
-        "hc_distributed": dist.hc_total,
-    }

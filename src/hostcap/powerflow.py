@@ -1,4 +1,4 @@
-"""AC power flow: injection evaluation, Newton-Raphson solve, Q-V sensitivity.
+"""AC power flow: injection evaluation and Newton-Raphson solve.
 
 Conventions.  Injections follow the standard polar equations
 
@@ -35,7 +35,6 @@ __all__ = [
     "polar_form_total",
     "base_setpoints",
     "solve_newton",
-    "qv_sensitivity",
 ]
 
 
@@ -273,31 +272,3 @@ def solve_newton(
         mismatch=mismatch,
     )
 
-
-def qv_sensitivity(
-    network: Network,
-    state: VoltageState,
-    fixed: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """Reduced-Jacobian sensitivity d|V|/dQ over the free (non-fixed) buses.
-
-    Eliminates the angle equations at constant P:  dQ = (L - M H^-1 N) dV,
-    so the returned matrix is the inverse of that reduced block.  ``fixed``
-    defaults to the slack bus; rows/columns follow ascending bus id over the
-    free buses.
-    """
-    if fixed is None:
-        fixed = (network.slack_index,)
-    free = [i for i in range(network.n) if i not in set(fixed)]
-    if not free:
-        raise ValueError("no free buses for sensitivity")
-    h, nm, m, l, _, _ = _jacobian(network, state.magnitudes, state.angles)
-    hf = h[np.ix_(free, free)]
-    nf = nm[np.ix_(free, free)]
-    mf = m[np.ix_(free, free)]
-    lf = l[np.ix_(free, free)]
-    try:
-        reduced = lf - mf @ np.linalg.solve(hf, nf)
-        return np.linalg.inv(reduced)
-    except np.linalg.LinAlgError:
-        raise PowerFlowError("singular Jacobian in Q-V sensitivity") from None

@@ -17,7 +17,7 @@ SCHEMA = json.loads(
 )
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, text=True):
     import os
 
     full_env = dict(os.environ)
@@ -26,7 +26,7 @@ def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "hostcap.cli", *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=full_env,
         cwd=str(FIXTURE_DIR.parent),
     )
@@ -161,11 +161,29 @@ def test_screen_json_and_csv():
     assert len(lines) == 3
 
 
-def test_partition_bench_reports_timings():
-    rep = report_of(run_cli("partition-bench", "fixtures/123bus.case", "--cut", "16,73"))
-    assert rep["timings"]["monolithic_ms"] > 0
-    assert rep["timings"]["distributed_ms"] > 0
-    assert rep["partition"]["subsystems"] == 3
+def test_screen_csv_output_file_gets_the_stdout_bytes(tmp_path):
+    out = tmp_path / "screen.csv"
+    proc = run_cli(
+        "screen", "fixtures/3bus.case", "--step", "0.01", "--format", "csv", "--output", str(out),
+        text=False,
+    )
+    assert proc.returncode == 0
+    assert out.read_bytes() == proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--vmax", "abc", "fixtures/3bus.case"),
+        ("partition-bench", "fixtures/123bus.case", "--cut", "16,73"),
+        ("unbalanced", "fixtures/8bus_balanced.case3", "--timings"),
+    ],
+)
+def test_usage_error_is_input_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: hostcap")
+    assert "error:" in proc.stderr
 
 
 def test_log_env_controls_stderr():

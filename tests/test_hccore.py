@@ -14,7 +14,6 @@ from hostcap.hccore import (
     InfeasibleError,
     adjust_power_factor,
     adjust_thermal,
-    branch_current,
     critical_angle,
     finalize_solution,
     pf_q_bounds,
@@ -22,7 +21,7 @@ from hostcap.hccore import (
     solve_hc,
     solve_voltage_only,
     solve_with_angle,
-    thermal_utilization,
+    verify,
     weighted_hc,
 )
 from hostcap.netmodel import Branch, Bus, BusKind, Network, parse_case
@@ -191,33 +190,6 @@ def test_angle_capped_at_pi(net3):
         assert dth == pytest.approx(math.pi, abs=1e-15)
 
 
-# --- branch current -----------------------------------------------------------
-
-
-def test_branch_current_zero_difference(net3):
-    state = VoltageState(magnitudes=np.ones(3), angles=np.zeros(3))
-    assert branch_current(net3, state, net3.branches[1]) == 0
-
-
-def test_branch_current_marked_solution(net3):
-    state = VoltageState(magnitudes=np.array([1.0, 1.05, 0.95]), angles=np.zeros(3))
-    cur = branch_current(net3, state, net3.branches[1])
-    assert abs(cur) == pytest.approx(0.10, abs=1e-12)
-
-
-def test_branch_current_rectangular_identity(net8):
-    state = VoltageState(
-        magnitudes=RNG.uniform(0.95, 1.05, 8), angles=RNG.uniform(-0.1, 0.1, 8)
-    )
-    for br in net8.branches:
-        cur = branch_current(net8, state, br)
-        dv = complex(
-            state.v_re[br.from_bus] - state.v_re[br.to_bus],
-            state.v_im[br.from_bus] - state.v_im[br.to_bus],
-        )
-        assert abs(cur) == pytest.approx(abs(br.series_admittance * dv), abs=1e-12)
-
-
 # --- thermal correction -------------------------------------------------------
 
 
@@ -254,7 +226,8 @@ def test_thermal_zero_limit_equalizes_endpoints(net3):
     sol = solve_voltage_only(net, c)
     out = adjust_thermal(net, c, sol)
     assert out.state.magnitudes[1] == pytest.approx(out.state.magnitudes[2], abs=1e-12)
-    assert abs(branch_current(net, out.state, net.branches[1])) < 1e-12
+    v = out.state.phasors
+    assert abs(net.branches[1].series_admittance * (v[1] - v[2])) < 1e-12
     assert out.hc_total < sol.hc_total
 
 
@@ -280,12 +253,13 @@ def test_thermal_infeasible_limit_reports_branch():
 def test_thermal_feasibility_and_cap_attained(net8):
     c = ConstraintSet()
     sol = solve_hc(net8, c)
-    assert thermal_utilization(net8, sol.state) <= 1 + 1e-9
+    assert verify(net8, c, sol.state.phasors).ok("thermal")
     # clamped branches sit exactly on their maximum-power curve
+    v = sol.state.phasors
     for br in net8.branches:
         if br.thermal_limit is None:
             continue
-        cur = abs(branch_current(net8, sol.state, br))
+        cur = abs(br.series_admittance * (v[br.from_bus] - v[br.to_bus]))
         if cur > br.thermal_limit * (1 - 1e-6):
             y2 = abs(br.series_admittance) ** 2
             g = br.series_admittance.real
@@ -373,7 +347,7 @@ def test_solve_hc_null_objective(net8):
 def test_solve_hc_joint_feasibility(net8):
     c = ConstraintSet(theta_max=0.008, eta=0.90)
     sol = solve_hc(net8, c)
-    assert thermal_utilization(net8, sol.state) <= 1 + 1e-9
+    assert verify(net8, c, sol.state.phasors).ok("thermal")
     gens = [b.id for b in net8.buses if b.kind is BusKind.GEN]
     assert min(power_factors(net8, sol.injections)[gens]) >= 0.90 - 1e-6
 

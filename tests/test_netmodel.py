@@ -1,4 +1,4 @@
-"""Network model: parsing, admittance assembly, parity labels."""
+"""Network model: parsing, admittance assembly, BFS tree and depth parity."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hostcap.netmodel import (
     CaseFormatError,
     Network,
     TopologyError,
-    assign_parity,
+    bfs_tree,
     build_ybus,
     parse_case,
     serialize_case,
@@ -159,13 +159,11 @@ def test_bus_injections_match_the_dense_ybus():
 
 
 def test_parity_chain():
-    net = assign_parity(parse_case(THREE_BUS))
-    assert [b.parity for b in net.buses] == [0, 1, 0]
+    assert list(bfs_tree(parse_case(THREE_BUS))[1] % 2) == [0, 1, 0]
 
 
 def test_parity_star():
-    net = assign_parity(load_fixture("4bus_star.case"))
-    assert [b.parity for b in net.buses] == [0, 1, 1, 1]
+    assert list(bfs_tree(load_fixture("4bus_star.case"))[1] % 2) == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -173,8 +171,8 @@ def test_parity_star():
     ["3bus.case", "4bus.case", "4bus_star.case", "5bus.case", "8bus.case", "123bus.case"],
 )
 def test_parity_is_proper_two_coloring(name):
-    net = assign_parity(load_fixture(name))
-    par = [b.parity for b in net.buses]
+    net = load_fixture(name)
+    par = bfs_tree(net)[1] % 2
     for br in net.branches:
         assert par[br.from_bus] != par[br.to_bus]
 
@@ -183,7 +181,7 @@ def test_parity_rejects_cycle():
     text = THREE_BUS + "BRANCH 0 2 1 0\n"
     net = parse_case(text)  # connected, but meshed
     with pytest.raises(TopologyError, match="non-radial"):
-        assign_parity(net)
+        bfs_tree(net)
 
 
 @pytest.mark.parametrize("name", ["3bus.case", "8bus.case", "123bus.case"])

@@ -1,11 +1,11 @@
-"""Power flow: injection evaluation, quadratic-form identities, Newton, Q-V."""
+"""Power flow: injection evaluation, quadratic-form identities, Newton."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hostcap.netmodel import Branch, Bus, BusKind, Network
+from hostcap.netmodel import BusKind
 from hostcap.powerflow import (
     BusSetpoint,
     PowerFlowError,
@@ -14,7 +14,6 @@ from hostcap.powerflow import (
     evaluate_injections,
     polar_form_total,
     quadratic_form_total,
-    qv_sensitivity,
     solve_newton,
 )
 
@@ -147,50 +146,3 @@ def test_nonconvergence_reports_mismatch(net3):
     with pytest.raises(PowerFlowError) as err:
         solve_newton(net3, spec, max_iter=10)
     assert err.value.mismatch is None or err.value.mismatch > 0
-
-
-# --- Q-V sensitivity ----------------------------------------------------------
-
-
-def test_two_bus_reactive_line_sensitivity():
-    net = Network(
-        buses=(Bus(0, BusKind.SLACK), Bus(1, BusKind.LOAD)),
-        branches=(Branch(0, 1, 0.0, 0.1),),
-    )
-    state = VoltageState(magnitudes=np.ones(2), angles=np.zeros(2))
-    s = qv_sensitivity(net, state)
-    assert s.shape == (1, 1)
-    assert s[0, 0] == pytest.approx(0.1, abs=1e-6)
-
-
-def test_sensitivity_matches_central_differences(net8):
-    spec = list(base_setpoints(net8))
-    state = solve_newton(net8, tuple(spec), tol=1e-12)
-    s = qv_sensitivity(net8, state)
-    free = [i for i in range(net8.n) if i != net8.slack_index]
-    eps = 1e-6
-    for col, j in enumerate(free):
-        up = list(spec)
-        dn = list(spec)
-        up[j] = BusSetpoint(kind=BusKind.LOAD, p=spec[j].p, q=spec[j].q + eps)
-        dn[j] = BusSetpoint(kind=BusKind.LOAD, p=spec[j].p, q=spec[j].q - eps)
-        vu = solve_newton(net8, tuple(up), tol=1e-12, x0=state).magnitudes
-        vd = solve_newton(net8, tuple(dn), tol=1e-12, x0=state).magnitudes
-        fd = (vu[free] - vd[free]) / (2 * eps)
-        denom = max(np.max(np.abs(fd)), 1e-12)
-        assert np.max(np.abs(fd - s[:, col])) / denom < 1e-4
-
-
-def test_sensitivity_symmetric_on_symmetric_fixture(net8):
-    # flat zero-injection state is a converged solution; reciprocal ybus
-    # makes the reduced Jacobian (and its inverse) symmetric there
-    state = VoltageState(magnitudes=np.ones(8), angles=np.zeros(8))
-    s = qv_sensitivity(net8, state)
-    np.testing.assert_allclose(s, s.T, atol=1e-8)
-
-
-def test_sensitivity_singular_on_resistive_flat(net3):
-    # purely resistive network at flat start: dP/dtheta vanishes identically
-    state = VoltageState(magnitudes=np.ones(3), angles=np.zeros(3))
-    with pytest.raises(PowerFlowError, match="singular"):
-        qv_sensitivity(net3, state)
