@@ -492,16 +492,12 @@ def adjust_power_factor(
     gens = [b.id for b in network.buses if b.kind is BusKind.GEN]
     if not gens:
         return sol
-    kappa = math.sqrt(1.0 - c.eta * c.eta) / c.eta
 
     def violations(inj: InjectionProfile, exclude: set[int]) -> list[int]:
-        out = []
-        for i in gens:
-            if i in exclude:
-                continue
-            if abs(inj.q[i]) > kappa * abs(inj.p[i]) + 1e-9:
-                out.append(i)
-        return out
+        return [
+            i for i in gens
+            if i not in exclude and abs(inj.q[i]) > pf_q_bounds(inj.p[i], c.eta)[1] + 1e-9
+        ]
 
     first = violations(sol.injections, set())
     if not first:
@@ -520,7 +516,7 @@ def adjust_power_factor(
                     f"power-factor violation at fixed bus {i} cannot be corrected locally"
                 )
             p_target = float(inj.p[i])
-            q_edge = math.copysign(kappa * abs(p_target), inj.q[i])
+            q_edge = math.copysign(pf_q_bounds(p_target, c.eta)[1], inj.q[i])
             converted[i] = (p_target, q_edge)
         setpoints = []
         for b in network.buses:

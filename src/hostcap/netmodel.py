@@ -1,8 +1,9 @@
 """Radial feeder model: case-file parsing, admittance assembly, BFS tree.
 
 Buses and branches are plain immutable records; the :class:`Network` bundles
-them with per-branch arrays and assembles the dense admittance matrix only on
-first use.  All quantities are per-unit on the case file's system base.
+them with per-branch arrays and the BFS tree from the slack, and assembles the
+dense admittance matrix only on first use.  All quantities are per-unit on the
+case file's system base.
 
 Case file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -108,9 +109,13 @@ class Network:
     Construction validates that bus ids are contiguous from 0, that exactly
     one bus is the slack, that branch endpoints exist and that the branch
     graph is connected.  Radiality (exactly n-1 branches) is *not* required
-    here; operations that need a tree check it themselves.  Everything runs
-    on the per-branch arrays (endpoints, series admittance, thermal limit)
-    derived at construction; the dense ``ybus`` is built on first read.
+    here; operations that need a tree check it themselves.  Construction
+    derives, once, the per-branch arrays (endpoints, series admittance,
+    thermal limit), the breadth-first walk from the slack (``parents``,
+    ``depths``, ``order``; see :func:`bfs_tree`), the slack index and the
+    objective weights ``lam``.  The solver runs on these alone; the dense
+    ``ybus`` is built on first read, by the grid oracle's brute force and by
+    tests.
     """
 
     buses: tuple[Bus, ...]
@@ -124,6 +129,12 @@ class Network:
     branch_to: np.ndarray = field(init=False, repr=False)
     branch_y: np.ndarray = field(init=False, repr=False)
     branch_limit: np.ndarray = field(init=False, repr=False)
+    # breadth-first walk from the slack over adjacency(): parent (-1 at the root), depth, visit order
+    parents: np.ndarray = field(init=False, repr=False)
+    depths: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    slack_index: int = field(init=False)
+    lam: np.ndarray = field(init=False, repr=False)  # per-bus objective weight
 
     def __post_init__(self) -> None:
         n = len(self.buses)
@@ -144,14 +155,28 @@ class Network:
                 raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
         if self.shunts is not None and len(self.shunts) != n:
             raise ValueError("shunt vector length must equal bus count")
-        if not _is_connected(self.adjacency()):
+        adj, root = self.adjacency(), slacks[0]
+        parents, depths, order = [-1] * n, [-1] * n, [root]
+        depths[root] = 0
+        for u in order:  # the list grows while it is walked: a breadth-first queue
+            for v, _bi in adj[u]:
+                if depths[v] < 0:
+                    depths[v] = depths[u] + 1
+                    parents[v] = u
+                    order.append(v)
+        if len(order) != n:
             raise TopologyError("non-connected graph")
+        object.__setattr__(self, "slack_index", root)
         limits = [np.inf if br.thermal_limit is None else br.thermal_limit for br in self.branches]
         for name, values, dtype in (
             ("branch_from", [br.from_bus for br in self.branches], int),
             ("branch_to", [br.to_bus for br in self.branches], int),
             ("branch_y", [br.series_admittance for br in self.branches], complex),
             ("branch_limit", limits, float),
+            ("parents", parents, int),
+            ("depths", depths, int),
+            ("order", order, int),
+            ("lam", [b.lam for b in self.buses], float),
         ):
             arr = np.array(values, dtype=dtype)
             arr.flags.writeable = False
@@ -159,23 +184,12 @@ class Network:
 
     @cached_property
     def ybus(self) -> np.ndarray:
-        """Dense n x n admittance matrix (16 n^2 bytes): Newton's Jacobian and the oracle."""
+        """Dense n x n admittance matrix (16 n^2 bytes): the oracle's brute force and tests."""
         return build_ybus(self)
 
     @property
     def n(self) -> int:
         return len(self.buses)
-
-    @property
-    def slack_index(self) -> int:
-        for b in self.buses:
-            if b.kind is BusKind.SLACK:
-                return b.id
-        raise AssertionError("validated network lost its slack")
-
-    @property
-    def lam(self) -> np.ndarray:
-        return np.array([b.lam for b in self.buses], dtype=float)
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-bus list of (neighbor id, branch index), sorted by neighbor."""
@@ -189,18 +203,6 @@ class Network:
 
     def is_radial(self) -> bool:
         return len(self.branches) == self.n - 1
-
-
-def _is_connected(adj: list[list[tuple[int, int]]]) -> bool:
-    seen = [False] * len(adj)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for v, _bi in adj[stack.pop()]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
 
 
 def build_ybus(network: Network) -> np.ndarray:
@@ -218,7 +220,7 @@ def build_ybus(network: Network) -> np.ndarray:
     np.add.at(y, index, np.column_stack([-ys, -ys, ys, ys]).ravel())
     if network.shunts is not None:
         y[np.diag_indices(n)] += np.asarray(network.shunts, dtype=complex)
-    y.flags.writeable = False  # networks are shared across workers
+    y.flags.writeable = False  # cached on the network, which is immutable
     return y
 
 
@@ -227,30 +229,13 @@ def bfs_tree(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     Returns ``(parents, depths, order)`` where ``parents[slack] == -1`` and
     ``order`` lists bus ids in visit order; ``depths % 2`` is the alternating
-    label of the voltage pattern.  Raises :class:`TopologyError` for
-    non-radial networks.
+    label of the voltage pattern.  The arrays are the network's read-only
+    ones, walked once at construction; ``order`` is a fresh list.  Raises
+    :class:`TopologyError` for non-radial networks.
     """
     if not network.is_radial():
         raise TopologyError("non-radial network: expected exactly n-1 branches")
-    n = network.n
-    root = network.slack_index
-    parents = np.full(n, -1, dtype=int)
-    depths = np.full(n, -1, dtype=int)
-    depths[root] = 0
-    order = [root]
-    adj = network.adjacency()
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v, _bi in adj[u]:
-            if depths[v] < 0:
-                depths[v] = depths[u] + 1
-                parents[v] = u
-                order.append(v)
-    if len(order) != n:
-        raise TopologyError("non-radial network")
-    return parents, depths, order
+    return network.parents, network.depths, network.order.tolist()
 
 
 # --- case-file I/O ---------------------------------------------------------

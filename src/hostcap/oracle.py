@@ -27,6 +27,7 @@ from .powerflow import (
     BusSetpoint,
     PowerFlowError,
     VoltageState,
+    _ybus_diagonal,
     base_setpoints,
     evaluate_injections,
     solve_newton,
@@ -218,17 +219,16 @@ def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
     h_t = float(ang_axis[1] - ang_axis[0]) if len(ang_axis) > 1 else 0.0
     lam = network.lam
     vm = c.v_max
-    yabs = np.abs(network.ybus)
-    gdiag = np.abs(network.ybus.real.diagonal())
-    off = yabs - np.diag(yabs.diagonal())
-    total = 0.0
-    l_theta = np.zeros(network.n)
-    for m in range(network.n):
-        # off[m, m] == 0, so the i == m term drops out of the second sum
-        l_theta[m] = vm**2 * (lam[m] * off[m].sum() + float(lam @ off[:, m]))
-    for j in free:
-        l_vj = lam[j] * vm * (2 * gdiag[j] + off[j].sum()) + vm * float(lam @ off[:, j])
-        total += l_vj * h_v / 2
+    # per-bus sums over the branches of a tree, where |Y_jk| = |y| of the one branch j-k:
+    # sum_{k!=j} |Y_jk| and sum_{i!=j} lam_i |Y_ij|
+    i, k, n = network.branch_from, network.branch_to, network.n
+    yabs = np.abs(network.branch_y)
+    off = np.bincount(i, yabs, n) + np.bincount(k, yabs, n)
+    lam_off = np.bincount(i, lam[k] * yabs, n) + np.bincount(k, lam[i] * yabs, n)
+    gdiag = np.abs(_ybus_diagonal(network).real)
+    l_theta = vm**2 * (lam * off + lam_off)
+    l_v = lam * vm * (2 * gdiag + off) + vm * lam_off
+    total = float(l_v[free].sum()) * h_v / 2
     if h_t > 0:
         for j, b in enumerate(free):
             subtree = anc[:, pos[b]] > 0  # buses whose root path uses branch (parent(b), b)

@@ -8,7 +8,8 @@ Conventions.  Injections follow the standard polar equations
 Note the reactive equation uses the textbook ``G sin - B cos`` form; some
 sources print a ``G cos - B sin`` variant for Q, which is not consistent with
 S = V conj(YV) and is not used here.  :func:`bus_injections` sums S branch by
-branch; of this module, only the Newton Jacobian reads the dense Ybus.
+branch, and the Newton Jacobian evaluates its entries at the branches and
+the diagonal only, from the same branch arrays; no dense Ybus is read.
 
 For a shunt-free network the total active injection collapses to a per-branch
 quadratic form; :func:`quadratic_form_total` (rectangular coordinates) and
@@ -168,34 +169,45 @@ def base_setpoints(network: Network) -> tuple[BusSetpoint, ...]:
     return tuple(out)
 
 
-def _jacobian(network: Network, vm: np.ndarray, va: np.ndarray):
-    """Standard polar power-flow Jacobian blocks (full n x n, from the dense Ybus).
+def _jacobian(network: Network, v: np.ndarray, s: np.ndarray, ang_idx: list[int], mag_idx: list[int]):
+    """Reduced power-flow Jacobian at phasors ``v`` with injections ``s``.
 
-    H = dP/dtheta, N = dP/dV, M = dQ/dtheta, L = dQ/dV, evaluated at
-    (vm, va).  Also returns the injections P, Q at that point.
+    Rows are dP at ``ang_idx`` then dQ at ``mag_idx``; columns are the angles
+    at ``ang_idx`` then the magnitudes at ``mag_idx``.  With E = V/|V| and
+    I = conj(S/V):
+
+        dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
+        dS/d|V|   = diag(V) conj(Y diag(E)) + diag(conj(I) E)
+
+    Y is nonzero only on its diagonal and at the branches, so only those
+    entries are evaluated, from the branch arrays: O(n + branches) work
+    plus the dense (u + m)^2 result for u angle and m magnitude unknowns.
     """
-    g, b = network.ybus.real, network.ybus.imag
-    dth = va[:, None] - va[None, :]
-    cos_t, sin_t = np.cos(dth), np.sin(dth)
-    vv = vm[:, None] * vm[None, :]
-    p_terms = vv * (g * cos_t + b * sin_t)
-    q_terms = vv * (g * sin_t - b * cos_t)
-    p = p_terms.sum(axis=1)
-    q = q_terms.sum(axis=1)
+    n, i, k, ys = network.n, network.branch_from, network.branch_to, network.branch_y
+    e, cur, buses = v / np.abs(v), np.conj(s / v), np.arange(n)
+    # off-diagonal entry (r, c) of a branch in both directions: Y_rc = -y
+    r, c, yb = np.concatenate([i, k]), np.concatenate([k, i]), np.concatenate([ys, ys])
+    y_diag = _ybus_diagonal(network)
+    rows, cols = np.concatenate([r, buses]), np.concatenate([c, buses])
+    d_ang = np.concatenate([1j * v[r] * np.conj(yb * v[c]), 1j * v * np.conj(cur - y_diag * v)])
+    d_mag = np.concatenate([-v[r] * np.conj(yb * e[c]), v * np.conj(y_diag * e) + np.conj(cur) * e])
+    u, m = len(ang_idx), len(mag_idx)
+    pa, pm = np.full(n, -1), np.full(n, -1)  # Jacobian row/column of each unknown, -1 where fixed
+    pa[ang_idx], pm[mag_idx] = np.arange(u), np.arange(u, u + m)
+    jr = np.concatenate([pa[rows], pa[rows], pm[rows], pm[rows]])
+    jc = np.concatenate([pa[cols], pm[cols], pa[cols], pm[cols]])
+    vals = np.concatenate([d_ang.real, d_mag.real, d_ang.imag, d_mag.imag])
+    keep = (jr >= 0) & (jc >= 0)
+    jac = np.zeros((u + m, u + m))
+    np.add.at(jac, (jr[keep], jc[keep]), vals[keep])
+    return jac
 
-    h = q_terms.copy()
-    np.fill_diagonal(h, -q - b.diagonal() * vm**2)
 
-    nmat = p_terms / vm[None, :]
-    np.fill_diagonal(nmat, p / vm + g.diagonal() * vm)
-
-    m = -p_terms.copy()
-    np.fill_diagonal(m, p - g.diagonal() * vm**2)
-
-    l = q_terms / vm[None, :]
-    np.fill_diagonal(l, q / vm - b.diagonal() * vm)
-
-    return h, nmat, m, l, p, q
+def _ybus_diagonal(network: Network) -> np.ndarray:
+    """Diagonal of the Ybus from the branch arrays: incident series admittances plus shunts."""
+    ends, ys = np.concatenate([network.branch_from, network.branch_to]), np.tile(network.branch_y, 2)
+    diag = np.bincount(ends, ys.real, network.n) + 1j * np.bincount(ends, ys.imag, network.n)
+    return diag if network.shunts is None else diag + np.asarray(network.shunts, dtype=complex)
 
 
 def solve_newton(
@@ -239,7 +251,8 @@ def solve_newton(
 
     mismatch = np.inf
     for it in range(max_iter + 1):
-        s = bus_injections(network, vm * np.exp(1j * va))
+        v = vm * np.exp(1j * va)
+        s = bus_injections(network, v)
         dp = p_sched[ang_idx] - s.real[ang_idx]
         dq = q_sched[mag_idx] - s.imag[mag_idx]
         rhs = np.concatenate([dp, dq])
@@ -248,15 +261,8 @@ def solve_newton(
             return VoltageState(magnitudes=vm, angles=va)
         if it == max_iter:
             break
-        h, nm, m, l, _, _ = _jacobian(network, vm, va)
-        jac = np.block(
-            [
-                [h[np.ix_(ang_idx, ang_idx)], nm[np.ix_(ang_idx, mag_idx)]],
-                [m[np.ix_(mag_idx, ang_idx)], l[np.ix_(mag_idx, mag_idx)]],
-            ]
-        )
         try:
-            step = np.linalg.solve(jac, rhs)
+            step = np.linalg.solve(_jacobian(network, v, s, ang_idx, mag_idx), rhs)
         except np.linalg.LinAlgError:
             raise PowerFlowError("singular Jacobian", mismatch=mismatch) from None
         step = damping * step

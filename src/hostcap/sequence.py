@@ -274,16 +274,15 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
 def build_ybus3(net3: ThreePhaseNetwork) -> np.ndarray:
     """Assemble the 3n x 3n phase-frame admittance matrix from 3x3 blocks."""
     n = net3.n
-    y = np.zeros((3 * n, 3 * n), dtype=complex)
-    for br in net3.branches:
-        yb = br.series_admittance
-        i, k = br.from_bus, br.to_bus
-        si, sk = slice(3 * i, 3 * i + 3), slice(3 * k, 3 * k + 3)
-        y[si, sk] -= yb
-        y[sk, si] -= yb
-        y[si, si] += yb
-        y[sk, sk] += yb
-    return y
+    yb = np.array([br.series_admittance for br in net3.branches], dtype=complex).reshape(-1, 3, 3)
+    i = np.array([br.from_bus for br in net3.branches], dtype=int)
+    k = np.array([br.to_bus for br in net3.branches], dtype=int)
+    y = np.zeros((n, 3, n, 3), dtype=complex)  # [i, phase_row, k, phase_col]: reshapes to a view
+    # np.add.at adds in index order, so every block sums its branches in branch order
+    rows, cols = np.column_stack([i, k, i, k]).ravel(), np.column_stack([k, i, i, k]).ravel()
+    blocks = np.stack([-yb, -yb, yb, yb], axis=1).reshape(-1, 3, 3)
+    np.add.at(y, (rows, slice(None), cols, slice(None)), blocks)
+    return y.reshape(3 * n, 3 * n)
 
 
 def sequence_ybus(y_abc: np.ndarray) -> SequenceSystem:
@@ -322,13 +321,14 @@ def positive_sequence_network(net3: ThreePhaseNetwork) -> Network:
     Branch positive-sequence admittance is the (1,1) entry of the
     transformed 3x3 block; per-bus load is the per-phase average.
     """
+    stack = np.array([br.series_admittance for br in net3.branches], dtype=complex).reshape(-1, 3, 3)
+    y1 = (TRANSFORM_INV @ stack @ TRANSFORM)[:, 1, 1]
+    dead = np.flatnonzero(y1 == 0)
+    if dead.size:
+        br = net3.branches[dead[0]]
+        raise ValueError(f"branch {br.from_bus}-{br.to_bus}: no positive-sequence path")
     branches = []
-    for br in net3.branches:
-        y012 = TRANSFORM_INV @ br.series_admittance @ TRANSFORM
-        y1 = y012[1, 1]
-        if y1 == 0:
-            raise ValueError(f"branch {br.from_bus}-{br.to_bus}: no positive-sequence path")
-        z1 = 1.0 / y1
+    for br, z1 in zip(net3.branches, 1.0 / y1):
         branches.append(
             Branch(
                 from_bus=br.from_bus,
