@@ -170,6 +170,7 @@ def cmd_oracle(args) -> int:
     report = _base_report("oracle", args.case, text, c)
 
     t0 = time.perf_counter()
+    surface = pv_curve_surface(net, c, g)  # first: it refuses a case without two free buses
     oracle_sol = grid_search_hc(net, c, g, workers=args.workers or 1)
     solver_sol = solve_hc_stages(net, c)[-1]
     eps = grid_error_bound(net, c, g)
@@ -185,7 +186,6 @@ def cmd_oracle(args) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    surface = pv_curve_surface(net, c, g)
     with open(outdir / "surface.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["v1_pu", "v2_pu", "sum_p_pu", "is_max"])

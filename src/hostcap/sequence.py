@@ -8,9 +8,16 @@ the decoupled sequence model handles them as follows:
 * the positive-sequence network is solved with the single-phase
   hosting-capacity pipeline (its equations have the same form),
 * load and line unbalance enter the zero/negative-sequence networks as
-  current injections, solved linearly via their nodal equations,
+  current injections; on a radial feeder those networks are tree
+  Laplacians, solved exactly and in O(n) by a leaf-to-root current sweep
+  and a root-to-leaf voltage sweep over the positive network's BFS tree,
 * the three sequence voltages recombine into per-phase voltages, which are
   checked against the magnitude box per phase.
+
+The solver works on per-branch 3x3 blocks only.  The dense 3n x 3n phase
+matrix (:func:`build_ybus3`), its sequence transform (:func:`sequence_ybus`)
+and the dense nodal solve are kept as the references that tests pin the
+tree path against.
 
 Cross-sequence coupling (untransposed lines) is tolerated up to a relative
 threshold; beyond it the decoupled model is refused rather than trusted.
@@ -28,7 +35,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -141,24 +147,6 @@ class ThreePhaseBranch:
             raise ValueError("branch impedance block must be 3x3")
         object.__setattr__(self, "z", z)
 
-    @cached_property
-    def series_admittance(self) -> np.ndarray:
-        """3x3 admittance block (read-only, inverted once); absent phases (zero rows) stay zero."""
-        z = self.z
-        present = [p for p in range(3) if np.any(z[p] != 0) or np.any(z[:, p] != 0)]
-        y = np.zeros((3, 3), dtype=complex)
-        if present:
-            sub = z[np.ix_(present, present)]
-            try:
-                y_sub = np.linalg.inv(sub)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"branch {self.from_bus}-{self.to_bus}: singular impedance block"
-                ) from None
-            y[np.ix_(present, present)] = y_sub
-        y.flags.writeable = False
-        return y
-
 
 @dataclass(frozen=True, eq=False)
 class ThreePhaseNetwork:
@@ -248,7 +236,7 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
                 f"line {lineno}: BRANCH3 takes <from> <to> + 18 impedance reals [C]"
             )
         vals = [_num(t, lineno, "impedance") for t in toks[3:21]]
-        z = np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(9)]).reshape(3, 3)
+        z = np.array(vals).view(complex).reshape(3, 3)  # (r, x) pairs are complex128's memory layout
         limit = _num(toks[21], lineno, "thermal limit") if len(toks) == 22 else None
         branches.append(
             ThreePhaseBranch(
@@ -271,10 +259,79 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
         raise CaseFormatError(str(exc)) from None
 
 
+def _branch_admittances(branches) -> np.ndarray:
+    """Every branch's 3x3 series admittance block, stacked as (m, 3, 3).
+
+    A phase is present when its row or column of the impedance block is
+    nonzero; absent phases stay zero in the admittance.  Branches sharing a
+    present-phase mask (at most seven) are inverted in one batched call,
+    which gives each block bitwise what inverting it alone gives.
+    """
+    z = np.array([br.z for br in branches], dtype=complex).reshape(-1, 3, 3)
+    present = np.any(z != 0, axis=2) | np.any(z != 0, axis=1)  # (m, 3)
+    masks = present @ np.array([1, 2, 4])
+    y = np.zeros_like(z)
+    for mask in range(1, 8):  # not np.unique: its plain form imports numpy.ma (30 ms) on first use
+        rows = np.flatnonzero(masks == mask)
+        if not rows.size:
+            continue
+        block = np.ix_(rows, *[np.flatnonzero(present[rows[0]])] * 2)
+        try:
+            y[block] = np.linalg.inv(z[block])
+        except np.linalg.LinAlgError:
+            # a batch names no culprit: report the first singular block in branch order
+            for br, zb, ph in zip(branches, z, present):
+                try:
+                    np.linalg.inv(zb[np.ix_(ph, ph)])
+                except np.linalg.LinAlgError:
+                    raise ValueError(
+                        f"branch {br.from_bus}-{br.to_bus}: singular impedance block"
+                    ) from None
+            raise
+    return y
+
+
+def _phase_loads(net3: ThreePhaseNetwork) -> np.ndarray:
+    """(n, 3) complex power per bus and phase."""
+    return np.array([(b.load.a, b.load.b, b.load.c) for b in net3.buses], dtype=complex)
+
+
+def _coupling_ratio(b012: np.ndarray) -> float:
+    """Worst cross-sequence magnitude relative to its block's largest diagonal; 0.0 for no blocks."""
+    mags = np.abs(b012)
+    diag = mags[:, range(3), range(3)]
+    mags[:, range(3), range(3)] = 0.0
+    ratio = mags.max(axis=(1, 2)) / np.maximum(diag.max(axis=1), 1e-30)
+    return float(ratio.max(initial=0.0))
+
+
+def _block_coupling(fb: np.ndarray, tb: np.ndarray, ys: np.ndarray, n: int) -> float:
+    """``sequence_ybus(build_ybus3(net3)).coupling`` without the n x n block layout.
+
+    Block (i, k) of the dense matrix sums -y over every branch joining i
+    and k, and the same values in the same order reach block (k, i); so the
+    blocks on and above the diagonal are summed here as build_ybus3 sums
+    them (np.add.at in branch order, parallel branches and self loops
+    included), into a stack of about n + m blocks.
+    """
+    rows, cols = np.column_stack([fb, tb, fb, tb]).ravel(), np.column_stack([tb, fb, fb, tb]).ravel()
+    keep = rows <= cols
+    vals = np.stack([-ys, -ys, ys, ys], axis=1).reshape(-1, 3, 3)[keep]
+    keys, slot = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    blocks = np.zeros((keys.size, 3, 3), dtype=complex)
+    np.add.at(blocks, slot, vals)
+    blocks = blocks[np.any(blocks != 0, axis=(1, 2))]
+    return _coupling_ratio(TRANSFORM_INV @ blocks @ TRANSFORM)
+
+
 def build_ybus3(net3: ThreePhaseNetwork) -> np.ndarray:
-    """Assemble the 3n x 3n phase-frame admittance matrix from 3x3 blocks."""
+    """Assemble the 3n x 3n phase-frame admittance matrix from 3x3 blocks.
+
+    The dense reference of the solver's per-branch blocks (144 n^2 bytes);
+    the solver never builds it.
+    """
     n = net3.n
-    yb = np.array([br.series_admittance for br in net3.branches], dtype=complex).reshape(-1, 3, 3)
+    yb = _branch_admittances(net3.branches)
     i = np.array([br.from_bus for br in net3.branches], dtype=int)
     k = np.array([br.to_bus for br in net3.branches], dtype=int)
     y = np.zeros((n, 3, n, 3), dtype=complex)  # [i, phase_row, k, phase_col]: reshapes to a view
@@ -290,7 +347,8 @@ def sequence_ybus(y_abc: np.ndarray) -> SequenceSystem:
 
     Returns the three decoupled sequence matrices, the two cross blocks that
     couple the positive sequence into the zero/negative networks, and the
-    worst relative cross-sequence coupling over all nonzero blocks.
+    worst relative cross-sequence coupling over all nonzero blocks.  The
+    dense reference of the solver's per-branch transform.
     """
     if y_abc.shape[0] != y_abc.shape[1] or y_abc.shape[0] % 3 != 0:
         raise ValueError("phase admittance matrix must be square with dimension a multiple of 3")
@@ -300,18 +358,38 @@ def sequence_ybus(y_abc: np.ndarray) -> SequenceSystem:
     b012 = TRANSFORM_INV @ blocks[i, :, k, :] @ TRANSFORM  # one 3x3 product per nonzero block
     seq = np.zeros((3, 3, n, n), dtype=complex)  # [m_row, m_col, i, k]
     seq[:, :, i, k] = np.moveaxis(b012, 0, -1)
-    mags = np.abs(b012)
-    diag = mags[:, range(3), range(3)]
-    mags[:, range(3), range(3)] = 0.0
-    ratio = mags.max(axis=(1, 2)) / np.maximum(diag.max(axis=1), 1e-30)
-    coupling = float(ratio.max(initial=0.0))  # 0.0 when no block is nonzero
     return SequenceSystem(
         y0=seq[0, 0],
         y1=seq[1, 1],
         y2=seq[2, 2],
-        coupling=coupling,
+        coupling=_coupling_ratio(b012),
         cross_0_from_1=seq[0, 1],
         cross_2_from_1=seq[2, 1],
+    )
+
+
+def _positive_network(net3: ThreePhaseNetwork, y1: np.ndarray, s_ph: np.ndarray) -> Network:
+    """The single-phase network of branch admittances ``y1`` and per-phase average loads of ``s_ph``."""
+    dead = np.flatnonzero(y1 == 0)
+    if dead.size:
+        br = net3.branches[dead[0]]
+        raise ValueError(f"branch {br.from_bus}-{br.to_bus}: no positive-sequence path")
+    z1 = 1.0 / y1
+    s_avg = s_ph.mean(axis=1)
+    branches = tuple(
+        Branch(from_bus=br.from_bus, to_bus=br.to_bus, r=r, x=x, thermal_limit=br.thermal_limit)
+        for br, r, x in zip(net3.branches, z1.real.tolist(), z1.imag.tolist())
+    )
+    buses = tuple(
+        Bus(id=b.id, kind=b.kind, load_p=p, load_q=q, lam=b.lam)
+        for b, p, q in zip(net3.buses, s_avg.real.tolist(), s_avg.imag.tolist())
+    )
+    return Network(
+        buses=buses,
+        branches=branches,
+        base_mva=net3.base_mva,
+        base_kv=net3.base_kv,
+        slack_vm=net3.slack_vm,
     )
 
 
@@ -321,36 +399,26 @@ def positive_sequence_network(net3: ThreePhaseNetwork) -> Network:
     Branch positive-sequence admittance is the (1,1) entry of the
     transformed 3x3 block; per-bus load is the per-phase average.
     """
-    stack = np.array([br.series_admittance for br in net3.branches], dtype=complex).reshape(-1, 3, 3)
-    y1 = (TRANSFORM_INV @ stack @ TRANSFORM)[:, 1, 1]
-    dead = np.flatnonzero(y1 == 0)
-    if dead.size:
-        br = net3.branches[dead[0]]
-        raise ValueError(f"branch {br.from_bus}-{br.to_bus}: no positive-sequence path")
-    branches = []
-    for br, z1 in zip(net3.branches, 1.0 / y1):
-        branches.append(
-            Branch(
-                from_bus=br.from_bus,
-                to_bus=br.to_bus,
-                r=float(z1.real),
-                x=float(z1.imag),
-                thermal_limit=br.thermal_limit,
-            )
-        )
-    buses = []
-    for b in net3.buses:
-        s_avg = complex(np.mean(b.load.array))
-        buses.append(
-            Bus(id=b.id, kind=b.kind, load_p=s_avg.real, load_q=s_avg.imag, lam=b.lam)
-        )
-    return Network(
-        buses=tuple(buses),
-        branches=tuple(branches),
-        base_mva=net3.base_mva,
-        base_kv=net3.base_kv,
-        slack_vm=net3.slack_vm,
-    )
+    y1 = (TRANSFORM_INV @ _branch_admittances(net3.branches) @ TRANSFORM)[:, 1, 1]
+    return _positive_network(net3, y1, _phase_loads(net3))
+
+
+def _load_currents(s_ph: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """Sequence components (n, 3) of the load currents drawn at the balanced rotation of ``v1``.
+
+    Phase voltages below the 1e-6 p.u. floor are clamped (and logged) to
+    keep the division finite.
+    """
+    loaded = np.any(s_ph != 0, axis=1)
+    v_ph = v1[:, None] * TRANSFORM[:, 1]  # balanced rotation of the positive phasor
+    low = np.abs(v_ph) < VOLTAGE_FLOOR
+    floored = np.flatnonzero(np.any(low & (s_ph != 0), axis=1)).tolist()
+    if floored:
+        logger.warning("phase voltage floored to %g p.u. at buses %s", VOLTAGE_FLOOR, floored)
+    v_safe = np.where(low, VOLTAGE_FLOOR, v_ph)
+    i_abc = np.zeros(s_ph.shape, dtype=complex)  # unloaded buses draw exactly 0, not -0j
+    i_abc[loaded] = np.conj(s_ph[loaded] / v_safe[loaded])
+    return to_sequence(i_abc)
 
 
 def unbalance_currents(
@@ -363,39 +431,28 @@ def unbalance_currents(
     Per-phase load currents conj(S_ph / V_ph) are evaluated at the balanced
     phase voltages implied by the positive-sequence state, then transformed;
     their zero/negative components, together with the cross-sequence line
-    coupling acting on V1, source the two auxiliary nodal problems.  Phase
-    voltages below the 1e-6 p.u. floor are clamped (and logged) to keep the
-    division finite.
+    coupling acting on V1, source the two auxiliary nodal problems.  The
+    dense reference of the solver's per-branch cross terms.
     """
     v1 = state.phasors
-    s_ph = np.array([b.load.array for b in net3.buses])  # (n, 3) power per bus and phase
-    loaded = np.any(s_ph != 0, axis=1)
-    v_ph = v1[:, None] * TRANSFORM[:, 1]  # balanced rotation of the positive phasor
-    low = np.abs(v_ph) < VOLTAGE_FLOOR
-    floored = np.flatnonzero(np.any(low & (s_ph != 0), axis=1)).tolist()
-    if floored:
-        logger.warning("phase voltage floored to %g p.u. at buses %s", VOLTAGE_FLOOR, floored)
-    v_safe = np.where(low, VOLTAGE_FLOOR, v_ph)
-    i_abc = np.zeros(s_ph.shape, dtype=complex)  # unloaded buses draw exactly 0, not -0j
-    i_abc[loaded] = np.conj(s_ph[loaded] / v_safe[loaded])
-    i_seq = to_sequence(i_abc)  # (n, 3): load currents drawn per sequence
+    i_seq = _load_currents(_phase_loads(net3), v1)
     i0 = -i_seq[:, 0] - seq.cross_0_from_1 @ v1
     i2 = -i_seq[:, 2] - seq.cross_2_from_1 @ v1
     return i0, i2
 
 
-def detect_scenario(net3: ThreePhaseNetwork, seq: SequenceSystem) -> str:
+def detect_scenario(net3: ThreePhaseNetwork, coupling: float) -> str:
     """Route a case to its solve method, mirroring how unbalance enters.
 
     Unbalanced per-phase loads need sequence load currents; asymmetric line
-    blocks need the sequence line model; otherwise the plain single-phase
-    model applies.
+    blocks (``coupling`` above round-off) need the sequence line model;
+    otherwise the plain single-phase model applies.
     """
-    loads = np.array([b.load.array for b in net3.buses])
+    loads = _phase_loads(net3)
     spread = float(np.max(np.abs(loads - loads.mean(axis=1, keepdims=True)))) if loads.size else 0.0
     if spread > 1e-9:
         return "sequence load current"
-    if seq.coupling > 1e-9:
+    if coupling > 1e-9:
         return "sequence line model"
     return "HC model"
 
@@ -403,7 +460,7 @@ def detect_scenario(net3: ThreePhaseNetwork, seq: SequenceSystem) -> str:
 def _solve_sequence_nodal(
     y_m: np.ndarray, i_m: np.ndarray, slack: int, label: str
 ) -> np.ndarray:
-    """Solve Y^m V^m = I^m with the slack pinned to zero sequence voltage."""
+    """Solve Y^m V^m = I^m with the slack pinned to zero sequence voltage (dense reference)."""
     n = y_m.shape[0]
     free = [i for i in range(n) if i != slack]
     sub = y_m[np.ix_(free, free)]
@@ -422,6 +479,32 @@ def _solve_sequence_nodal(
     return v
 
 
+def _tree_sweep(
+    parents: np.ndarray, order: np.ndarray, y_up: np.ndarray, i_m: np.ndarray, label: str
+) -> np.ndarray:
+    """Solve a radial network's Y^m V^m = I^m with the root (``order[0]``) pinned to zero.
+
+    ``y_up[k]`` is the admittance of the branch from bus k to ``parents[k]``.
+    The leaf-to-root sweep gathers each subtree's injected current into the
+    branch above it; the root-to-leaf sweep drops that current across the
+    branch.  The branch admittances are this elimination's pivots, so the
+    network is refused as singular when one is not finite or is at most
+    1e-12 of the largest.
+    """
+    pivots = np.abs(y_up[order[1:]])
+    if pivots.size and not (np.all(np.isfinite(pivots)) and pivots.min() > 1e-12 * pivots.max()):
+        raise SequenceSingularError(f"{label}-sequence nodal matrix is singular (no return path)")
+    walk, up, y = order.tolist(), parents.tolist(), y_up.tolist()
+    j = i_m.tolist()
+    j[walk[0]] = 0j
+    for k in reversed(walk[1:]):
+        j[up[k]] += j[k]
+    v = [0j] * len(j)
+    for k in walk[1:]:
+        v[k] = v[up[k]] + j[k] / y[k]
+    return np.array(v, dtype=complex)
+
+
 def solve_unbalanced_hc(
     net3: ThreePhaseNetwork,
     c: ConstraintSet,
@@ -430,25 +513,42 @@ def solve_unbalanced_hc(
     """Hosting capacity of a multi-phase feeder via decoupled sequences.
 
     Runs the single-phase pipeline on the positive-sequence network, solves
-    the zero/negative nodal equations for the unbalance, recombines to phase
-    voltages and checks the magnitude box per phase.
+    the zero/negative networks for the unbalance by sweeps over its BFS
+    tree, recombines to phase voltages and checks the magnitude box per
+    phase.  Works on per-branch 3x3 blocks: time and memory are O(n).
     """
-    seq = sequence_ybus(build_ybus3(net3))  # the 3n x 3n phase matrix is freed before the solves
-    if seq.coupling > coupling_threshold:
+    n = net3.n
+    ys = _branch_admittances(net3.branches)
+    fb = np.array([br.from_bus for br in net3.branches], dtype=int)
+    tb = np.array([br.to_bus for br in net3.branches], dtype=int)
+    coupling = _block_coupling(fb, tb, ys, n)
+    if coupling > coupling_threshold:
         raise DecouplingError(
-            f"cross-sequence coupling {seq.coupling:.3f} exceeds threshold "
+            f"cross-sequence coupling {coupling:.3f} exceeds threshold "
             f"{coupling_threshold:.3f}; decoupled model refused",
-            coupling=seq.coupling,
+            coupling=coupling,
         )
-    method = detect_scenario(net3, seq)
-    pos_net = positive_sequence_network(net3)
-    positive = solve_hc(pos_net, c)
-    slack = net3.slack_index
-
-    i0, i2 = unbalance_currents(net3, seq, positive.state)
-    v0 = _solve_sequence_nodal(seq.y0, i0, slack, "zero")
-    v2 = _solve_sequence_nodal(seq.y2, i2, slack, "negative")
+    method = detect_scenario(net3, coupling)
+    y012 = TRANSFORM_INV @ ys @ TRANSFORM  # [branch, m_row, m_col]: each branch's sequence admittances
+    s_ph = _phase_loads(net3)
+    pos_net = _positive_network(net3, y012[:, 1, 1], s_ph)
+    positive = solve_hc(pos_net, c)  # enforces radiality, so pos_net's BFS walk is a spanning tree
     v1 = positive.state.phasors
+
+    # (Y^{m1} V1) per branch: y^{m1}_b (V1_from - V1_to) leaves `from` and enters `to`
+    flows = y012[:, (0, 2), 1] * (v1[fb] - v1[tb])[:, None]
+    cross = np.zeros((n, 2), dtype=complex)
+    np.add.at(cross, fb, flows)
+    np.add.at(cross, tb, -flows)
+    i_seq = _load_currents(s_ph, v1)
+    parents = pos_net.parents
+    child = np.where(parents[tb] == fb, tb, fb)  # the end of each branch farther from the slack
+    y_up = np.zeros(n, dtype=complex)
+    sweeps = []
+    for col, (m, label) in enumerate(((0, "zero"), (2, "negative"))):
+        y_up[child] = y012[:, m, m]
+        sweeps.append(_tree_sweep(parents, pos_net.order, y_up, -i_seq[:, m] - cross[:, col], label))
+    v0, v2 = sweeps
     v_abc = np.stack([v0, v1, v2], axis=1) @ TRANSFORM.T
     # one row of bus phasors per phase; only the box family applies per phase
     per_phase = verify(pos_net, c, v_abc.T)
@@ -462,6 +562,6 @@ def solve_unbalanced_hc(
         hc_per_phase=positive.hc_total,
         hc_total=3.0 * positive.hc_total,
         method=method,
-        coupling=seq.coupling,
+        coupling=coupling,
         phase_bound_violations=tuple((int(b), int(p)) for b, p in np.argwhere(outside)),
     )

@@ -244,3 +244,17 @@ def test_case3_limits_record_supplies_defaults_and_flags_override(tmp_path):
     assert rep["constraints"]["theta_max"] == 0.01
     rep = report_of(run_cli("unbalanced", "--theta-max", "0", str(case)))
     assert rep["constraints"]["theta_max"] == 0.0
+
+
+def test_oracle_refuses_before_the_grid_search(tmp_path, monkeypatch, capsys):
+    import hostcap.cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid search ran on a case the surface refuses")
+
+    monkeypatch.setattr(hostcap.cli, "grid_search_hc", no_grid)
+    outdir = tmp_path / "out"
+    code = hostcap.cli.main(["oracle", str(FIXTURE_DIR / "4bus.case"), "--outdir", str(outdir)])
+    assert code == 1
+    assert "error: surface sampling needs exactly two free buses, got 3" in capsys.readouterr().err
+    assert not outdir.exists()
