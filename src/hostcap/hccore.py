@@ -24,9 +24,11 @@ is maximised constructively rather than by a general NLP solver.  The stages:
 ``solve_hc`` runs the full pipeline and re-verifies thermal and power-factor
 feasibility jointly.  Every feasibility verdict, here and in the oracle
 and sequence modules, comes from :func:`verify` and its single tolerance
-table ``TOL``.  The construction assumes off-diagonal conductances are
-non-positive (true for any branch with r >= 0); networks violating that are
-refused rather than silently mis-solved.
+table ``TOL``; the grid oracle's per-branch masks call the same margin
+helpers (``_thermal_margin``, ``_pf_margin``) as the verifier does.  The
+construction assumes off-diagonal conductances are non-positive (true for
+any branch with r >= 0); networks violating that are refused rather than
+silently mis-solved.
 """
 
 from __future__ import annotations
@@ -162,6 +164,21 @@ def _power_factor(s: np.ndarray) -> np.ndarray:
     return pf
 
 
+def _thermal_margin(cap, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margin of branch currents ``|I|`` under their limits ``cap``, and its tolerance.
+
+    A branch violates when the margin is below minus the tolerance, which is relative to C.
+    """
+    return cap - current, TOL["thermal"] * cap
+
+
+def _pf_margin(s: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+    """Margin of |P|/|S| of injections ``s`` over the floor ``eta``, and its tolerance."""
+    pf = _power_factor(s)
+    pf -= eta
+    return pf, TOL["pf"]
+
+
 def power_factors(network: Network, inj: InjectionProfile) -> np.ndarray:
     """|P|/|S| per bus; buses with |S| <= TOL["s_floor"] count as unity."""
     return _power_factor(inj.s)
@@ -249,7 +266,7 @@ class Verdict:
         y, cap = net.branch_y[idx].reshape(per_branch), net.branch_limit[idx].reshape(per_branch)
         diff = self.v[net.branch_from[idx]] - self.v[net.branch_to[idx]]
         diff *= y
-        return idx, cap - np.abs(diff), TOL["thermal"] * cap  # the tolerance is relative to C
+        return (idx, *_thermal_margin(cap, np.abs(diff)))
 
     def _pf(self):
         if self.c.eta is None:
@@ -258,9 +275,7 @@ class Verdict:
         s = self.s
         if s is None:  # element-major, like self.v
             s = np.moveaxis(bus_injections(self.network, np.moveaxis(self.v, 0, -1)), -1, 0)
-        pf = _power_factor(s[gen])
-        pf -= self.c.eta
-        return gen, pf, TOL["pf"]
+        return (gen, *_pf_margin(s[gen], self.c.eta))
 
 
 def _in_order(mask_of) -> list[tuple[str, int]]:

@@ -113,9 +113,9 @@ class Network:
     derives, once, the per-branch arrays (endpoints, series admittance,
     thermal limit), the breadth-first walk from the slack (``parents``,
     ``depths``, ``order``; see :func:`bfs_tree`), the slack index and the
-    objective weights ``lam``.  The solver runs on these alone; the dense
-    ``ybus`` is built on first read, by the grid oracle's brute force and by
-    tests.
+    objective weights ``lam``.  The solver and the grid oracle's search run
+    on these alone; the dense ``ybus`` is built on first read, by the
+    oracle's surface sampling (``pv_curve_surface``) and by tests.
     """
 
     buses: tuple[Bus, ...]
@@ -184,7 +184,7 @@ class Network:
 
     @cached_property
     def ybus(self) -> np.ndarray:
-        """Dense n x n admittance matrix (16 n^2 bytes): the oracle's brute force and tests."""
+        """Dense n x n admittance matrix (16 n^2 bytes): ``pv_curve_surface`` and tests."""
         return build_ybus(self)
 
     @property

@@ -1,12 +1,19 @@
 """Brute-force verification tools for the constructive solver.
 
 ``grid_search_hc`` enumerates the feasible voltage box on a regular grid
-(magnitudes per free bus, angle differences per branch), evaluates the power
-flow at every point and returns the constrained maximizer.  Together with
+(magnitudes per free bus, angle differences per branch) and returns the
+constrained maximizer.  On a tree every injection is the bus's shunt term
+plus one term per incident branch, each a function of one branch's
+(a_p, a_c, delta_c), so the objective, the thermal mask and the pf mask of
+every point are broadcast sums of small per-bus and per-branch tables; no
+point's phasors and no dense Ybus are formed.  Together with
 ``grid_error_bound`` it certifies global optimality at small scale: the true
 optimum can exceed the best grid point by at most a Lipschitz term, so
 agreement of the pattern solver with the grid maximizer within that bound
 pins the solver to the global optimum.
+
+``pv_curve_surface`` samples the two-free-bus surface for the figure data,
+one dense power flow per point.
 
 ``incremental_screening`` is the classic per-bus ramp baseline: raise one
 bus's injection step by step, re-run power flow, stop at the first limit
@@ -21,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hccore import ConstraintSet, HCSolution, InfeasibleError, finalize_solution, verify
+from .hccore import (
+    ConstraintSet,
+    HCSolution,
+    InfeasibleError,
+    _pf_margin,
+    _thermal_margin,
+    finalize_solution,
+    verify,
+)
 from .netmodel import BusKind, Network, bfs_tree
 from .powerflow import (
     BusSetpoint,
@@ -86,7 +101,7 @@ class ScreeningRow:
 
 
 def _tree_layout(network: Network):
-    """Free buses, their parents and the ancestor matrix for angle sums."""
+    """Free buses, their grid positions and the ancestor matrix for angle sums."""
     parents, depths, order = bfs_tree(network)
     slack = network.slack_index
     free = [i for i in range(network.n) if i != slack]
@@ -97,7 +112,7 @@ def _tree_layout(network: Network):
         while u != slack:
             anc[j, pos[u]] = 1.0
             u = int(parents[u])
-    return free, pos, parents, anc
+    return free, pos, anc
 
 
 def _axes(network: Network, c: ConstraintSet, g: GridSpec):
@@ -123,68 +138,66 @@ def grid_search_hc(
 
     Magnitudes of every free bus run over the box (corners included);
     branch angle differences run over [-theta_max, theta_max].  The feasible
-    maximizer of the weighted objective is returned; ties resolve to the
-    lexicographically smallest (magnitudes, angles) vector, which the
-    ascending enumeration order provides for free.
+    maximizer of the weighted objective is returned.  Points are enumerated
+    in C order over (magnitudes, angles), so of several points with
+    bitwise-equal objectives the lexicographically smallest wins.  Points
+    that tie only mathematically (for instance +-delta across a branch
+    whose ends carry equal weights) are split by rounding.
+
+    No point's phasors are formed: every injection is a per-bus term plus
+    per-branch terms, so the objective, the thermal mask and the pf mask
+    are broadcast sums of small tables (see :func:`_grid_tables`) over
+    chunks of at most ``CHUNK_ROWS`` consecutive points.
     """
-    free, pos, parents, anc = _tree_layout(network)
+    free, pos, anc = _tree_layout(network)
     nf = len(free)
     mag_axis, ang_axis = _axes(network, c, g)
-    dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if len(ang_axis) > 1 else [])
     use_angles = len(ang_axis) > 1
+    dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
     total = int(np.prod([float(d) for d in dims]))
     if total > g.cap:
         raise GridCapError(f"grid has {total:.3e} points, cap is {g.cap:.3e}")
 
-    lam = network.lam
-    ybus = network.ybus
-    slack = network.slack_index
-
-    best_obj = -math.inf
-    best_key: tuple | None = None
-    best_mags: np.ndarray | None = None
-    best_deltas: np.ndarray | None = None
+    const, obj_tables, pf_tables = _grid_tables(network, c, pos, mag_axis, ang_axis)
+    # a chunk is a run of whole blocks over the trailing dims ``dims[k:]``, so
+    # every table reaches it as a broadcast over (block, *dims[k:])
+    k = len(dims)
+    while k > 0 and math.prod(dims[k - 1 :]) <= CHUNK_ROWS:
+        k -= 1
+    inner, outer = math.prod(dims[k:]), math.prod(dims[:k])
+    rows = max(1, CHUNK_ROWS // inner)
 
     def eval_chunk(start: int, stop: int):
-        idx = np.unravel_index(np.arange(start, stop), dims)
-        mags = np.empty((stop - start, network.n))
-        mags[:, slack] = network.slack_vm
-        for j in range(nf):
-            mags[:, free[j]] = mag_axis[idx[j]]
-        if use_angles:
-            deltas = np.stack([ang_axis[idx[nf + j]] for j in range(nf)], axis=1)
-            ang_free = deltas @ anc.T
-            angles = np.zeros((stop - start, network.n))
-            for j in range(nf):
-                angles[:, free[j]] = ang_free[:, j]
-            v = np.exp(1j * angles)
-            v *= mags  # in place, like s below, so the verifier's arrays reuse freed memory
-        else:
-            deltas = np.zeros((stop - start, nf))
-            v = mags.astype(complex)
-        yv = v @ ybus.T  # dense on purpose: the brute-force reference, faster on a few buses
-        s = np.multiply(v, np.conjugate(yv, out=yv), out=yv)
-        obj = s.real @ lam
-        # box and angle bounds hold by construction of the axes
-        obj[~verify(network, c, v, s).ok("thermal", "pf")] = -math.inf
+        ix = np.unravel_index(np.arange(start, stop), dims[:k]) if k else ()
+        obj = np.full((stop - start, *dims[k:]), const)
+        for table in obj_tables:
+            obj += _rows(table, ix)
+        for terms in pf_tables:
+            s = _rows(terms[0], ix)
+            for table in terms[1:]:
+                s = s + _rows(table, ix)
+            m, tol = _pf_margin(s, c.eta)
+            np.copyto(obj, -math.inf, where=m < -tol)
         j = int(np.argmax(obj))
-        return float(obj[j]), mags[j, free].copy(), deltas[j].copy()
+        return float(obj.flat[j]), start * inner + j
 
-    spans = [(s, min(s + CHUNK_ROWS, total)) for s in range(0, total, CHUNK_ROWS)]
+    spans = [(s, min(s + rows, outer)) for s in range(0, outer, rows)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda sp: eval_chunk(*sp), spans))
     else:
         results = [eval_chunk(*sp) for sp in spans]
-    for obj, mg, dl in results:  # chunk order keeps the tie-break deterministic
-        key = (obj, tuple(-x for x in mg), tuple(-x for x in dl))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_obj, best_mags, best_deltas = obj, mg, dl
+    best_obj, best = -math.inf, 0
+    for obj, point in results:  # chunk order keeps the first of equal maxima
+        if obj > best_obj:
+            best_obj, best = obj, point
 
     if best_obj == -math.inf:
         raise InfeasibleError("no feasible grid point under the given constraints")
 
+    idx = np.unravel_index(best, dims)
+    best_mags = mag_axis[list(idx[:nf])]
+    best_deltas = ang_axis[list(idx[nf:])] if use_angles else np.zeros(nf)
     mags = np.full(network.n, network.slack_vm)
     for j in range(nf):
         mags[free[j]] = best_mags[j]
@@ -194,6 +207,64 @@ def grid_search_hc(
         angles[free[j]] = ang_free[j]
     state = VoltageState(magnitudes=mags, angles=angles)
     return finalize_solution(network, c, state, stage="grid_oracle")
+
+
+def _grid_tables(network: Network, c: ConstraintSet, pos: dict, mag_axis, ang_axis):
+    """Objective and pf tables of the grid, each broadcast over the grid's dims.
+
+    Dim ``pos[b]`` is the magnitude of free bus b; unless the angle axis is
+    the single 0, dim nf + ``pos[b]`` is the angle of branch (parent, b).
+    A branch (p, c) is taken in p's angle frame, V_p = a_p and
+    V_c = a_c e^{j delta_c}, and carries the injections V_p conj(-y V_c) at
+    p and V_c conj(-y V_p) at c; bus j adds a_j^2 conj(Y_jj).  Returns the slack's constant objective
+    term, one real table per branch (lam-weighted P of its ends plus its
+    child's own term, -inf where the branch's thermal limit is violated)
+    and, when ``c.eta`` is set, per generator the complex tables that sum
+    to its injection.
+    """
+    slack, lam, parents, nf = network.slack_index, network.lam, network.parents, len(pos)
+    rot = np.exp(1j * ang_axis) if len(ang_axis) > 1 else None  # the only exp: over the angle axis
+    ndim = nf if rot is None else 2 * nf
+
+    def along(values, dim):  # ``values`` laid out along grid dim ``dim``
+        shape = [1] * ndim
+        shape[dim] = -1
+        return values.reshape(shape)
+
+    def mag(b):
+        return network.slack_vm if b == slack else along(mag_axis, pos[b])
+
+    conj_diag = np.conj(_ybus_diagonal(network))
+    const = float(lam[slack] * network.slack_vm**2 * conj_diag[slack].real)
+    i, k = network.branch_from, network.branch_to
+    child = np.where(parents[k] == i, k, i)
+    gens = [b for b in pos if network.buses[b].kind is BusKind.GEN] if c.eta is not None else []
+    injections: dict[int, list[np.ndarray]] = {b: [] for b in gens}
+    obj_tables = []
+    for bi, cb in enumerate(child.tolist()):
+        p, y = int(parents[cb]), network.branch_y[bi]
+        vp = mag(p)
+        vc = mag(cb) + 0j if rot is None else mag(cb) * along(rot, nf + pos[cb])
+        s_p = vp * np.conj(-y * vc)
+        s_c = mag(cb) ** 2 * conj_diag[cb] + vc * np.conj(-y * vp)
+        obj = lam[p] * s_p.real + lam[cb] * s_c.real
+        cap = network.branch_limit[bi]
+        if math.isfinite(cap):
+            m, tol = _thermal_margin(cap, abs(y) * np.abs(vp - vc))
+            obj = np.where(m < -tol, -math.inf, obj)
+        obj_tables.append(obj)
+        for b, s in ((p, s_p), (cb, s_c)):
+            if b in injections:
+                injections[b].append(s)
+    return const, obj_tables, list(injections.values())
+
+
+def _rows(table: np.ndarray, ix: tuple) -> np.ndarray:
+    """``table`` at a chunk's indices ``ix`` into the leading dims, shaped (rows or 1, *trailing dims)."""
+    k = len(ix)
+    if all(d == 1 for d in table.shape[:k]):
+        return table.reshape(1, *table.shape[k:])
+    return table[tuple(i if d > 1 else 0 for i, d in zip(ix, table.shape))]
 
 
 def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
@@ -213,7 +284,7 @@ def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
 
     with Vm the box upper bound.  Deliberately conservative.
     """
-    free, pos, parents, anc = _tree_layout(network)
+    free, pos, anc = _tree_layout(network)
     mag_axis, ang_axis = _axes(network, c, g)
     h_v = float(mag_axis[1] - mag_axis[0]) if len(mag_axis) > 1 else 0.0
     h_t = float(ang_axis[1] - ang_axis[0]) if len(ang_axis) > 1 else 0.0
