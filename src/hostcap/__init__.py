@@ -7,7 +7,6 @@ from .netmodel import (
     CaseFormatError,
     Network,
     TopologyError,
-    build_ybus,
     parse_case,
     serialize_case,
 )
@@ -17,8 +16,6 @@ from .powerflow import (
     PowerFlowError,
     VoltageState,
     evaluate_injections,
-    polar_form_total,
-    quadratic_form_total,
     solve_newton,
 )
 from .hccore import (
@@ -50,7 +47,6 @@ from .sequence import (
     ThreePhaseNetwork,
     from_sequence,
     parse_case3,
-    sequence_ybus,
     solve_unbalanced_hc,
     to_sequence,
 )

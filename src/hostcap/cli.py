@@ -171,7 +171,7 @@ def cmd_oracle(args) -> int:
 
     t0 = time.perf_counter()
     surface = pv_curve_surface(net, c, g)  # first: it refuses a case without two free buses
-    oracle_sol = grid_search_hc(net, c, g, workers=args.workers or 1)
+    oracle_sol = grid_search_hc(net, c, g)
     solver_sol = solve_hc_stages(net, c)[-1]
     eps = grid_error_bound(net, c, g)
     report["oracle"] = {
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--angle-steps", dest="angle_steps", type=int, default=11,
                           help="angle steps per branch (used when theta-max > 0)")
     p_oracle.add_argument("--outdir", default=".", help="directory for surface.csv / pairs.csv")
-    p_oracle.add_argument("--workers", type=int, default=None, help="grid-search threads")
     p_oracle.add_argument("--timings", action="store_true", help="include wall-time section")
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -1,9 +1,10 @@
 """Radial feeder model: case-file parsing, admittance assembly, BFS tree.
 
 Buses and branches are plain immutable records; the :class:`Network` bundles
-them with per-branch arrays and the BFS tree from the slack, and assembles the
-dense admittance matrix only on first use.  All quantities are per-unit on the
-case file's system base.
+them with per-branch arrays and the BFS tree from the slack.  The dense
+admittance matrix (:func:`build_ybus`) is not part of it: only tests build it,
+as the reference of the branch-wise evaluation.  All quantities are per-unit
+on the case file's system base.
 
 Case file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +113,8 @@ class Network:
     derives, once, the per-branch arrays (endpoints, series admittance,
     thermal limit), the breadth-first walk from the slack (``parents``,
     ``depths``, ``order``; see :func:`bfs_tree`), the slack index and the
-    objective weights ``lam``.  The solver and the grid oracle's search run
-    on these alone; the dense ``ybus`` is built on first read, by the
-    oracle's surface sampling (``pv_curve_surface``) and by tests.
+    objective weights ``lam``.  The solver and the grid oracle run on these
+    alone.
     """
 
     buses: tuple[Bus, ...]
@@ -182,11 +181,6 @@ class Network:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @cached_property
-    def ybus(self) -> np.ndarray:
-        """Dense n x n admittance matrix (16 n^2 bytes): ``pv_curve_surface`` and tests."""
-        return build_ybus(self)
-
     @property
     def n(self) -> int:
         return len(self.buses)
@@ -210,7 +204,8 @@ def build_ybus(network: Network) -> np.ndarray:
 
     Off-diagonal entries are the negated series admittances; diagonals sum
     the incident series admittances plus any shunt terms.  The result is
-    symmetric, and with no shunts every row sums to zero.
+    symmetric, and with no shunts every row sums to zero.  The dense
+    reference (16 n^2 bytes) that tests pin the branch-wise evaluation to.
     """
     n = len(network.buses)
     y = np.zeros((n, n), dtype=complex)
@@ -220,7 +215,6 @@ def build_ybus(network: Network) -> np.ndarray:
     np.add.at(y, index, np.column_stack([-ys, -ys, ys, ys]).ravel())
     if network.shunts is not None:
         y[np.diag_indices(n)] += np.asarray(network.shunts, dtype=complex)
-    y.flags.writeable = False  # cached on the network, which is immutable
     return y
 
 
@@ -267,6 +261,14 @@ def _kind(tok: str, lineno: int) -> BusKind:
         return BusKind(tok.lower())
     except ValueError:
         raise CaseFormatError(f"line {lineno}: unknown bus kind {tok!r}") from None
+
+
+def _thermal_limit(tok: str, lineno: int) -> float:
+    """A branch record's optional thermal limit C, which must be positive."""
+    limit = _num(tok, lineno, "thermal limit")
+    if not limit > 0:
+        raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
+    return limit
 
 
 def _limits(toks: list[str], lineno: int) -> dict[str, float]:
@@ -339,9 +341,7 @@ def parse_case(text: str) -> Network:
     def branch(toks, lineno):
         if len(toks) not in (5, 6):
             raise CaseFormatError(f"line {lineno}: BRANCH takes <from> <to> <r> <x> [C]")
-        limit = _num(toks[5], lineno, "thermal limit") if len(toks) == 6 else None
-        if limit is not None and limit <= 0:
-            raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
+        limit = _thermal_limit(toks[5], lineno) if len(toks) == 6 else None
         branches.append(
             Branch(
                 from_bus=_int(toks[1], lineno, "from bus"),

@@ -13,7 +13,7 @@ agreement of the pattern solver with the grid maximizer within that bound
 pins the solver to the global optimum.
 
 ``pv_curve_surface`` samples the two-free-bus surface for the figure data,
-one dense power flow per point.
+one branch-wise injection evaluation (``bus_injections``) per point.
 
 ``incremental_screening`` is the classic per-bus ramp baseline: raise one
 bus's injection step by step, re-run power flow, stop at the first limit
@@ -23,7 +23,6 @@ violation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .powerflow import (
     VoltageState,
     _ybus_diagonal,
     base_setpoints,
+    bus_injections,
     evaluate_injections,
     solve_newton,
 )
@@ -100,22 +100,7 @@ class ScreeningRow:
     status: str  # first violated limit, or "diverged" / "cap"
 
 
-def _tree_layout(network: Network):
-    """Free buses, their grid positions and the ancestor matrix for angle sums."""
-    parents, depths, order = bfs_tree(network)
-    slack = network.slack_index
-    free = [i for i in range(network.n) if i != slack]
-    pos = {b: j for j, b in enumerate(free)}
-    anc = np.zeros((len(free), len(free)))
-    for j, b in enumerate(free):
-        u = b
-        while u != slack:
-            anc[j, pos[u]] = 1.0
-            u = int(parents[u])
-    return free, pos, anc
-
-
-def _axes(network: Network, c: ConstraintSet, g: GridSpec):
+def _axes(c: ConstraintSet, g: GridSpec):
     if c.v_min == c.v_max:
         mag_axis = np.array([c.v_min])
     else:
@@ -128,12 +113,7 @@ def _axes(network: Network, c: ConstraintSet, g: GridSpec):
     return mag_axis, ang_axis
 
 
-def grid_search_hc(
-    network: Network,
-    c: ConstraintSet,
-    g: GridSpec,
-    workers: int = 1,
-) -> HCSolution:
+def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolution:
     """Exhaustive grid search over the feasible voltage box.
 
     Magnitudes of every free bus run over the box (corners included);
@@ -147,11 +127,15 @@ def grid_search_hc(
     No point's phasors are formed: every injection is a per-bus term plus
     per-branch terms, so the objective, the thermal mask and the pf mask
     are broadcast sums of small tables (see :func:`_grid_tables`) over
-    chunks of at most ``CHUNK_ROWS`` consecutive points.
+    chunks of at most ``CHUNK_ROWS`` consecutive points.  The chosen point's
+    angles are rebuilt root-outward over the BFS order, each bus adding its
+    branch's delta to its parent's angle.
     """
-    free, pos, anc = _tree_layout(network)
+    parents, _, order = bfs_tree(network)
+    free = [i for i in range(network.n) if i != network.slack_index]
+    pos = {b: j for j, b in enumerate(free)}
     nf = len(free)
-    mag_axis, ang_axis = _axes(network, c, g)
+    mag_axis, ang_axis = _axes(c, g)
     use_angles = len(ang_axis) > 1
     dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
     total = int(np.prod([float(d) for d in dims]))
@@ -167,7 +151,9 @@ def grid_search_hc(
     inner, outer = math.prod(dims[k:]), math.prod(dims[:k])
     rows = max(1, CHUNK_ROWS // inner)
 
-    def eval_chunk(start: int, stop: int):
+    best_obj, best = -math.inf, 0
+    for start in range(0, outer, rows):  # chunk order keeps the first of equal maxima
+        stop = min(start + rows, outer)
         ix = np.unravel_index(np.arange(start, stop), dims[:k]) if k else ()
         obj = np.full((stop - start, *dims[k:]), const)
         for table in obj_tables:
@@ -179,32 +165,21 @@ def grid_search_hc(
             m, tol = _pf_margin(s, c.eta)
             np.copyto(obj, -math.inf, where=m < -tol)
         j = int(np.argmax(obj))
-        return float(obj.flat[j]), start * inner + j
-
-    spans = [(s, min(s + rows, outer)) for s in range(0, outer, rows)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sp: eval_chunk(*sp), spans))
-    else:
-        results = [eval_chunk(*sp) for sp in spans]
-    best_obj, best = -math.inf, 0
-    for obj, point in results:  # chunk order keeps the first of equal maxima
-        if obj > best_obj:
-            best_obj, best = obj, point
+        if obj.flat[j] > best_obj:
+            best_obj, best = float(obj.flat[j]), start * inner + j
 
     if best_obj == -math.inf:
         raise InfeasibleError("no feasible grid point under the given constraints")
 
     idx = np.unravel_index(best, dims)
-    best_mags = mag_axis[list(idx[:nf])]
-    best_deltas = ang_axis[list(idx[nf:])] if use_angles else np.zeros(nf)
     mags = np.full(network.n, network.slack_vm)
-    for j in range(nf):
-        mags[free[j]] = best_mags[j]
+    mags[free] = mag_axis[list(idx[:nf])]
+    deltas = np.zeros(network.n)
+    if use_angles:
+        deltas[free] = ang_axis[list(idx[nf:])]
     angles = np.zeros(network.n)
-    ang_free = anc @ best_deltas
-    for j in range(nf):
-        angles[free[j]] = ang_free[j]
+    for b in order[1:]:
+        angles[b] = angles[parents[b]] + deltas[b]
     state = VoltageState(magnitudes=mags, angles=angles)
     return finalize_solution(network, c, state, stage="grid_oracle")
 
@@ -282,10 +257,12 @@ def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
       branch delta b shifts the angles of the whole subtree below it:
         L_db = sum over subtree buses m of L_tm
 
-    with Vm the box upper bound.  Deliberately conservative.
+    with Vm the box upper bound.  Deliberately conservative.  Summed over
+    the branches, each bus m lies in the subtree of every branch on its
+    path to the slack, so the angle terms total sum_m depth(m) * L_tm.
     """
-    free, pos, anc = _tree_layout(network)
-    mag_axis, ang_axis = _axes(network, c, g)
+    _, depths, _ = bfs_tree(network)
+    mag_axis, ang_axis = _axes(c, g)
     h_v = float(mag_axis[1] - mag_axis[0]) if len(mag_axis) > 1 else 0.0
     h_t = float(ang_axis[1] - ang_axis[0]) if len(ang_axis) > 1 else 0.0
     lam = network.lam
@@ -299,13 +276,8 @@ def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
     gdiag = np.abs(_ybus_diagonal(network).real)
     l_theta = vm**2 * (lam * off + lam_off)
     l_v = lam * vm * (2 * gdiag + off) + vm * lam_off
-    total = float(l_v[free].sum()) * h_v / 2
-    if h_t > 0:
-        for j, b in enumerate(free):
-            subtree = anc[:, pos[b]] > 0  # buses whose root path uses branch (parent(b), b)
-            l_db = float(l_theta[np.array(free)[subtree]].sum())
-            total += l_db * h_t / 2
-    return total
+    free = np.arange(n) != network.slack_index
+    return float(l_v[free].sum()) * h_v / 2 + float(l_theta @ depths) * h_t / 2
 
 
 def pv_curve_surface(network: Network, c: ConstraintSet, g: GridSpec) -> SurfaceResult:
@@ -314,14 +286,14 @@ def pv_curve_surface(network: Network, c: ConstraintSet, g: GridSpec) -> Surface
     free = [i for i in range(network.n) if i != slack]
     if len(free) != 2:
         raise ValueError(f"surface sampling needs exactly two free buses, got {len(free)}")
-    mag_axis, _ = _axes(network, c, g)
+    mag_axis, _ = _axes(c, g)
     v1, v2 = np.meshgrid(mag_axis, mag_axis, indexing="ij")
     v1, v2 = v1.ravel(), v2.ravel()
     v = np.empty((v1.size, network.n), dtype=complex)
     v[:, slack] = network.slack_vm
     v[:, free[0]] = v1
     v[:, free[1]] = v2
-    s = v * np.conj(v @ network.ybus.T)
+    s = bus_injections(network, v)
     p = s.real
     sum_p = p[:, free[0]] + p[:, free[1]]
     rows = np.column_stack([v1, v2, sum_p])

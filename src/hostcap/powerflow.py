@@ -10,11 +10,6 @@ sources print a ``G cos - B sin`` variant for Q, which is not consistent with
 S = V conj(YV) and is not used here.  :func:`bus_injections` sums S branch by
 branch, and the Newton Jacobian evaluates its entries at the branches and
 the diagonal only, from the same branch arrays; no dense Ybus is read.
-
-For a shunt-free network the total active injection collapses to a per-branch
-quadratic form; :func:`quadratic_form_total` (rectangular coordinates) and
-:func:`polar_form_total` (magnitude/angle coordinates) implement it as pure
-functions so the identity is testable rather than assumed.
 """
 
 from __future__ import annotations
@@ -32,8 +27,6 @@ __all__ = [
     "PowerFlowError",
     "bus_injections",
     "evaluate_injections",
-    "quadratic_form_total",
-    "polar_form_total",
     "base_setpoints",
     "solve_newton",
 ]
@@ -49,7 +42,7 @@ class PowerFlowError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class VoltageState:
-    """Per-bus complex voltage in polar form, with rectangular views."""
+    """Per-bus complex voltage in polar form."""
 
     magnitudes: np.ndarray
     angles: np.ndarray
@@ -73,14 +66,6 @@ class VoltageState:
     @property
     def phasors(self) -> np.ndarray:
         return self.magnitudes * np.exp(1j * self.angles)
-
-    @property
-    def v_re(self) -> np.ndarray:
-        return self.magnitudes * np.cos(self.angles)
-
-    @property
-    def v_im(self) -> np.ndarray:
-        return self.magnitudes * np.sin(self.angles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,29 +118,6 @@ def evaluate_injections(network: Network, state: VoltageState) -> InjectionProfi
         raise ValueError(f"state has {state.n} buses, network has {network.n}")
     s = bus_injections(network, state.phasors)
     return InjectionProfile(p=s.real, q=s.imag)
-
-
-def quadratic_form_total(network: Network, state: VoltageState) -> float:
-    """Total active injection as the rectangular per-branch quadratic form.
-
-    sum over branches of (-G_ik) * [(V_i,re - V_k,re)^2 + (V_i,im - V_k,im)^2];
-    equals sum_i P_i on shunt-free networks.
-    """
-    vre, vim = state.v_re, state.v_im
-    i, k = network.branch_from, network.branch_to
-    g = network.branch_y.real  # == -G_ik of the ybus off-diagonal
-    return float(g @ ((vre[i] - vre[k]) ** 2 + (vim[i] - vim[k]) ** 2))
-
-
-def polar_form_total(network: Network, state: VoltageState) -> float:
-    """Same total as :func:`quadratic_form_total` in polar coordinates.
-
-    sum over branches of (-G_ik) * [a^2 + b^2 - 2 a b cos(t_i - t_k)].
-    """
-    m, t = state.magnitudes, state.angles
-    i, k = network.branch_from, network.branch_to
-    a, b = m[i], m[k]
-    return float(network.branch_y.real @ (a * a + b * b - 2 * a * b * np.cos(t[i] - t[k])))
 
 
 def base_setpoints(network: Network) -> tuple[BusSetpoint, ...]:

@@ -40,8 +40,7 @@ import numpy as np
 
 from .hccore import ConstraintSet, HCSolution, solve_hc, verify
 from .netmodel import Branch, Bus, BusKind, CaseFormatError, Network
-from .netmodel import _bus_tuple, _int, _kind, _num, _read_records  # the shared case tokenizer
-from .powerflow import VoltageState
+from .netmodel import _bus_tuple, _int, _kind, _num, _read_records, _thermal_limit  # the shared case tokenizer
 
 __all__ = [
     "ALPHA",
@@ -61,7 +60,6 @@ __all__ = [
     "build_ybus3",
     "sequence_ybus",
     "positive_sequence_network",
-    "unbalance_currents",
     "solve_unbalanced_hc",
     "detect_scenario",
 ]
@@ -237,7 +235,7 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
             )
         vals = [_num(t, lineno, "impedance") for t in toks[3:21]]
         z = np.array(vals).view(complex).reshape(3, 3)  # (r, x) pairs are complex128's memory layout
-        limit = _num(toks[21], lineno, "thermal limit") if len(toks) == 22 else None
+        limit = _thermal_limit(toks[21], lineno) if len(toks) == 22 else None
         branches.append(
             ThreePhaseBranch(
                 from_bus=_int(toks[1], lineno, "from bus"),
@@ -419,26 +417,6 @@ def _load_currents(s_ph: np.ndarray, v1: np.ndarray) -> np.ndarray:
     i_abc = np.zeros(s_ph.shape, dtype=complex)  # unloaded buses draw exactly 0, not -0j
     i_abc[loaded] = np.conj(s_ph[loaded] / v_safe[loaded])
     return to_sequence(i_abc)
-
-
-def unbalance_currents(
-    net3: ThreePhaseNetwork,
-    seq: SequenceSystem,
-    state: VoltageState,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero/negative-sequence injection currents expressing the unbalance.
-
-    Per-phase load currents conj(S_ph / V_ph) are evaluated at the balanced
-    phase voltages implied by the positive-sequence state, then transformed;
-    their zero/negative components, together with the cross-sequence line
-    coupling acting on V1, source the two auxiliary nodal problems.  The
-    dense reference of the solver's per-branch cross terms.
-    """
-    v1 = state.phasors
-    i_seq = _load_currents(_phase_loads(net3), v1)
-    i0 = -i_seq[:, 0] - seq.cross_0_from_1 @ v1
-    i2 = -i_seq[:, 2] - seq.cross_2_from_1 @ v1
-    return i0, i2
 
 
 def detect_scenario(net3: ThreePhaseNetwork, coupling: float) -> str:

@@ -1,0 +1,128 @@
+"""Dense and quadratic-time references that the library's tree paths are pinned to.
+
+The library solves on branch arrays over the BFS tree in O(n).  The
+functions here are the earlier or textbook forms of the same quantities,
+kept only so that tests can compare the two:
+
+* ``tree_layout`` and ``grid_error_bound_loop``: the grid oracle's angle
+  sums and resolution bound over the dense free-bus ancestor matrix;
+* ``dense_surface``: the two-free-bus surface from the dense Ybus;
+* ``v_re``/``v_im``, ``quadratic_form_total`` and ``polar_form_total``: the
+  per-branch quadratic form of the total active injection;
+* ``unbalance_currents``: the zero/negative-sequence sources from the dense
+  sequence cross blocks of ``sequence_ybus``.
+"""
+
+import math
+
+import numpy as np
+
+from hostcap import oracle
+from hostcap.hccore import verify
+from hostcap.netmodel import bfs_tree, build_ybus
+from hostcap.powerflow import _ybus_diagonal
+from hostcap.sequence import _load_currents, _phase_loads
+
+
+def tree_layout(network):
+    """Free buses, their grid positions and the ancestor matrix for angle sums."""
+    parents, _, _ = bfs_tree(network)
+    slack = network.slack_index
+    free = [i for i in range(network.n) if i != slack]
+    pos = {b: j for j, b in enumerate(free)}
+    anc = np.zeros((len(free), len(free)))
+    for j, b in enumerate(free):
+        u = b
+        while u != slack:
+            anc[j, pos[u]] = 1.0
+            u = int(parents[u])
+    return free, pos, anc
+
+
+def grid_error_bound_loop(network, c, g) -> float:
+    """``oracle.grid_error_bound`` with each branch's subtree read off the ancestor matrix."""
+    free, pos, anc = tree_layout(network)
+    mag_axis, ang_axis = oracle._axes(c, g)
+    h_v = float(mag_axis[1] - mag_axis[0]) if len(mag_axis) > 1 else 0.0
+    h_t = float(ang_axis[1] - ang_axis[0]) if len(ang_axis) > 1 else 0.0
+    lam = network.lam
+    vm = c.v_max
+    i, k, n = network.branch_from, network.branch_to, network.n
+    yabs = np.abs(network.branch_y)
+    off = np.bincount(i, yabs, n) + np.bincount(k, yabs, n)
+    lam_off = np.bincount(i, lam[k] * yabs, n) + np.bincount(k, lam[i] * yabs, n)
+    gdiag = np.abs(_ybus_diagonal(network).real)
+    l_theta = vm**2 * (lam * off + lam_off)
+    l_v = lam * vm * (2 * gdiag + off) + vm * lam_off
+    total = float(l_v[free].sum()) * h_v / 2
+    if h_t > 0:
+        for b in free:
+            subtree = anc[:, pos[b]] > 0  # buses whose root path uses branch (parent(b), b)
+            total += float(l_theta[np.array(free)[subtree]].sum()) * h_t / 2
+    return total
+
+
+def dense_surface(network, c, g):
+    """``oracle.pv_curve_surface``'s rows, feasibility and maximizer from S = V conj(Ybus V)."""
+    slack = network.slack_index
+    free = [i for i in range(network.n) if i != slack]
+    mag_axis, _ = oracle._axes(c, g)
+    v1, v2 = np.meshgrid(mag_axis, mag_axis, indexing="ij")
+    v1, v2 = v1.ravel(), v2.ravel()
+    v = np.empty((v1.size, network.n), dtype=complex)
+    v[:, slack] = network.slack_vm
+    v[:, free[0]] = v1
+    v[:, free[1]] = v2
+    s = v * np.conj(v @ build_ybus(network).T)
+    p = s.real
+    rows = np.column_stack([v1, v2, p[:, free[0]] + p[:, free[1]]])
+    feasible = verify(network, c, v, s).ok("thermal", "pf")
+    obj = p @ network.lam
+    obj[~feasible] = -math.inf
+    return rows, p[:, free], feasible, int(np.argmax(obj))
+
+
+def v_re(state) -> np.ndarray:
+    return state.magnitudes * np.cos(state.angles)
+
+
+def v_im(state) -> np.ndarray:
+    return state.magnitudes * np.sin(state.angles)
+
+
+def quadratic_form_total(network, state) -> float:
+    """Total active injection as the rectangular per-branch quadratic form.
+
+    sum over branches of (-G_ik) * [(V_i,re - V_k,re)^2 + (V_i,im - V_k,im)^2];
+    equals sum_i P_i on shunt-free networks.
+    """
+    vre, vim = v_re(state), v_im(state)
+    i, k = network.branch_from, network.branch_to
+    g = network.branch_y.real  # == -G_ik of the ybus off-diagonal
+    return float(g @ ((vre[i] - vre[k]) ** 2 + (vim[i] - vim[k]) ** 2))
+
+
+def polar_form_total(network, state) -> float:
+    """Same total as :func:`quadratic_form_total` in polar coordinates.
+
+    sum over branches of (-G_ik) * [a^2 + b^2 - 2 a b cos(t_i - t_k)].
+    """
+    m, t = state.magnitudes, state.angles
+    i, k = network.branch_from, network.branch_to
+    a, b = m[i], m[k]
+    return float(network.branch_y.real @ (a * a + b * b - 2 * a * b * np.cos(t[i] - t[k])))
+
+
+def unbalance_currents(net3, seq, state) -> tuple[np.ndarray, np.ndarray]:
+    """Zero/negative-sequence injection currents expressing the unbalance.
+
+    Per-phase load currents conj(S_ph / V_ph) are evaluated at the balanced
+    phase voltages implied by the positive-sequence state, then transformed;
+    their zero/negative components, together with the cross-sequence line
+    coupling acting on V1, source the two auxiliary nodal problems.
+    """
+    v1 = state.phasors
+    i_seq = _load_currents(_phase_loads(net3), v1)
+    i0 = -i_seq[:, 0] - seq.cross_0_from_1 @ v1
+    i2 = -i_seq[:, 2] - seq.cross_2_from_1 @ v1
+    return i0, i2

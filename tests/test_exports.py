@@ -26,3 +26,10 @@ def test_every_all_entry_exists(name):
 def test_package_reexports_only_public_names(name):
     module = importlib.import_module(f"hostcap.{name}")
     assert [n for n in PACKAGE_IMPORTS.get(name, []) if n not in module.__all__] == []
+
+
+def test_only_netmodel_binds_the_dense_ybus():
+    # the dense matrix is a test reference: no other module can reach build_ybus, and Network caches none
+    names = ["hostcap"] + [f"hostcap.{name}" for name in (*MODULES, "cli")]
+    assert [name for name in names if "build_ybus" in vars(importlib.import_module(name))] == ["hostcap.netmodel"]
+    assert not hasattr(importlib.import_module("hostcap.netmodel").Network, "ybus")

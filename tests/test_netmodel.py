@@ -92,6 +92,20 @@ def test_parse_rejects_garbage():
         )
 
 
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+@pytest.mark.parametrize("name, parse", [("8bus.case", parse_case), ("8bus_balanced.case3", parse_case3)])
+def test_thermal_limit_must_be_positive_in_both_formats(name, parse, limit):
+    lines = (FIXTURE_DIR / name).read_text().splitlines()
+    # the first branch record that carries a limit C, its last token
+    lineno, toks = next(
+        (i, line.split()) for i, line in enumerate(lines, 1) if line.startswith("BRANCH") and len(line.split()) in (6, 22)
+    )
+    lines[lineno - 1] = " ".join(toks[:-1] + [limit])
+    with pytest.raises(CaseFormatError, match=f"^line {lineno}: thermal limit must be positive$"):
+        parse("\n".join(lines))
+
+
 def test_parse_eight_bus_fixture():
     net = load_fixture("8bus.case")
     assert net.n == 8
@@ -102,10 +116,10 @@ def test_parse_eight_bus_fixture():
 
 
 def test_ybus_three_bus_chain():
-    net = parse_case(THREE_BUS)
     g_expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
-    np.testing.assert_allclose(net.ybus.real, g_expected, atol=1e-15)
-    np.testing.assert_allclose(net.ybus.imag, 0.0, atol=1e-15)
+    ybus = build_ybus(parse_case(THREE_BUS))
+    np.testing.assert_allclose(ybus.real, g_expected, atol=1e-15)
+    np.testing.assert_allclose(ybus.imag, 0.0, atol=1e-15)
 
 
 def test_ybus_single_reactive_branch():
@@ -114,7 +128,7 @@ def test_ybus_single_reactive_branch():
         branches=(Branch(0, 1, 0.0, 0.1),),
     )
     expected = np.array([[-10j, 10j], [10j, -10j]])
-    np.testing.assert_allclose(net.ybus, expected, atol=1e-12)
+    np.testing.assert_allclose(build_ybus(net), expected, atol=1e-12)
 
 
 def test_zero_impedance_branch_rejected():
@@ -127,17 +141,17 @@ def test_zero_impedance_branch_rejected():
     ["3bus.case", "4bus.case", "4bus_star.case", "5bus.case", "8bus.case", "123bus.case"],
 )
 def test_ybus_symmetric_and_zero_row_sums(name):
-    net = load_fixture(name)
-    np.testing.assert_allclose(net.ybus, net.ybus.T, atol=1e-12)
+    ybus = build_ybus(load_fixture(name))
+    np.testing.assert_allclose(ybus, ybus.T, atol=1e-12)
     # no shunts in these fixtures, so every row must cancel exactly
-    np.testing.assert_allclose(net.ybus.sum(axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(ybus.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_shunt_folded_into_diagonal():
     text = THREE_BUS + "SHUNT 1 0.5 -0.25\n"
     net = parse_case(text)
     base = parse_case(THREE_BUS)
-    delta = net.ybus - base.ybus
+    delta = build_ybus(net) - build_ybus(base)
     assert delta[1, 1] == pytest.approx(0.5 - 0.25j)
     assert abs(delta).sum() == pytest.approx(abs(delta[1, 1]))
 
@@ -155,7 +169,7 @@ def test_bus_injections_match_the_dense_ybus():
             np.testing.assert_allclose(bus_injections(net, state), dense, rtol=0, atol=1e-12)
         dense = v * np.conj(v @ ybus.T)  # a (k, n) batch
         np.testing.assert_allclose(bus_injections(net, v), dense, rtol=0, atol=1e-12)
-        assert "ybus" not in vars(net)  # the kernel never builds the dense matrix
+        assert not hasattr(net, "ybus")  # and the network keeps no dense copy
 
 
 def test_parity_chain():
@@ -199,7 +213,7 @@ def test_serialize_round_trip_full_precision(name):
             b.x,
             b.thermal_limit,
         )
-    np.testing.assert_array_equal(net.ybus, back.ybus)
+    np.testing.assert_array_equal(build_ybus(net), build_ybus(back))
 
 
 def test_limits_record_round_trips_to_cli_defaults():
@@ -218,4 +232,4 @@ def test_shunt_round_trip():
     net = parse_case(text)
     back = parse_case(serialize_case(net))
     assert back.shunts == net.shunts
-    np.testing.assert_array_equal(net.ybus, back.ybus)
+    np.testing.assert_array_equal(build_ybus(net), build_ybus(back))

@@ -49,15 +49,6 @@ def test_grid_cap_rejected(net123):
         grid_search_hc(net123, ConstraintSet(), GridSpec(magnitude_steps=11, cap=10**6))
 
 
-def test_workers_do_not_change_the_result(net4):
-    c = ConstraintSet()
-    g = GridSpec(magnitude_steps=41)
-    a = grid_search_hc(net4, c, g, workers=1)
-    b = grid_search_hc(net4, c, g, workers=4)
-    assert a.hc_total == b.hc_total
-    np.testing.assert_array_equal(a.state.magnitudes, b.state.magnitudes)
-
-
 def test_oracle_respects_thermal_filter():
     net = load_fixture("4bus_thermal.case")
     c = ConstraintSet()

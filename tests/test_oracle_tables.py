@@ -1,8 +1,10 @@
-"""The grid oracle's per-branch tables against the dense per-point brute force.
+"""The grid oracle's tree-array paths against dense and quadratic-time references.
 
 ``dense_reference`` is the evaluation the oracle used to run: every grid
-point's phasors, S = V conj(Ybus V), the verifier's thermal and pf masks,
-then the maximum.  The tests pin ``grid_search_hc`` to it on small grids.
+point's phasors (angles summed over the ancestor matrix), S = V conj(Ybus V),
+the verifier's thermal and pf masks, then the maximum.  The tests pin
+``grid_search_hc`` to it on small grids, ``grid_error_bound`` to its
+subtree-by-subtree loop and ``pv_curve_surface`` to its dense evaluation.
 """
 
 import sys
@@ -15,10 +17,11 @@ import pytest
 
 from hostcap import oracle
 from hostcap.hccore import ConstraintSet, InfeasibleError, verify
-from hostcap.netmodel import Network, parse_case
-from hostcap.oracle import GridSpec, grid_search_hc
+from hostcap.netmodel import Network, build_ybus, parse_case
+from hostcap.oracle import GridSpec, grid_error_bound, grid_search_hc, pv_curve_surface
 
-from conftest import load_fixture
+from conftest import FIXTURE_DIR, load_fixture
+from reference import dense_surface, grid_error_bound_loop, tree_layout
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -51,8 +54,8 @@ def hand_made() -> Network:
 
 def dense_reference(net, c, g):
     """Objective of every grid point in C order, -inf where the verifier rejects it."""
-    free, _, anc = oracle._tree_layout(net)
-    mag_axis, ang_axis = oracle._axes(net, c, g)
+    free, _, anc = tree_layout(net)
+    mag_axis, ang_axis = oracle._axes(c, g)
     nf = len(free)
     use_angles = len(ang_axis) > 1
     dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
@@ -63,7 +66,7 @@ def dense_reference(net, c, g):
     angles = np.zeros_like(mags)
     angles[:, free] = deltas @ anc.T
     v = mags * np.exp(1j * angles)
-    s = v * np.conj(v @ net.ybus.T)
+    s = v * np.conj(v @ build_ybus(net).T)
     obj = s.real @ net.lam
     obj[~verify(net, c, v, s).ok("thermal", "pf")] = -np.inf
     return obj, dims, mag_axis, ang_axis, free
@@ -102,11 +105,15 @@ def test_fixtures_match_the_dense_reference(name, theta, eta):
     assert_matches_reference(load_fixture(name), ConstraintSet(theta_max=theta, eta=eta))
 
 
-@pytest.mark.parametrize("seed", range(1, 11))
-def test_generated_feeders_match_the_dense_reference(seed):
-    net = parse_case(make_feeder(4, seed, thermal=True, loads=True).text)
+# the 6-bus feeders are deep enough that the order of the angle sums matters
+@pytest.mark.parametrize(
+    "n, seed, g",
+    [(4, seed, GRID) for seed in range(1, 11)] + [(6, seed, GridSpec(3, 3)) for seed in range(1, 6)],
+)
+def test_generated_feeders_match_the_dense_reference(n, seed, g):
+    net = parse_case(make_feeder(n, seed, thermal=True, loads=True).text)
     for theta, eta in ((0.004, None), (0.1, 0.9)):
-        assert_matches_reference(net, ConstraintSet(theta_max=theta, eta=eta))
+        assert_matches_reference(net, ConstraintSet(theta_max=theta, eta=eta), g)
 
 
 @pytest.mark.parametrize("eta", ETAS)
@@ -135,12 +142,12 @@ def test_zero_thermal_limit_is_infeasible():
         (hand_made(), ConstraintSet(theta_max=0.1)),
     ],
 )
-def test_chunking_and_threads_do_not_move_the_point(monkeypatch, net, c):
+def test_chunking_does_not_move_the_point(monkeypatch, net, c):
     base = grid_search_hc(net, c, GRID)
-    runs = [grid_search_hc(net, c, GRID, workers=w) for w in (1, 3)]
+    runs = []
     for rows in (1, 7):
         monkeypatch.setattr(oracle, "CHUNK_ROWS", rows)
-        runs += [grid_search_hc(net, c, GRID, workers=w) for w in (1, 3)]
+        runs.append(grid_search_hc(net, c, GRID))
     for sol in runs:
         np.testing.assert_array_equal(sol.state.magnitudes, base.state.magnitudes)
         np.testing.assert_array_equal(sol.state.angles, base.state.angles)
@@ -166,3 +173,34 @@ def test_points_on_the_thermal_limit_match_the_dense_reference(theta, eta):
     # 0.01 p.u. steps put |a_1 - a_2| = 0.08, the limit, on grid points, up to rounding
     net, c = load_fixture("4bus_thermal.case"), ConstraintSet(theta_max=theta, eta=eta)
     assert_matches_reference(net, c, GridSpec(11, 3))
+
+
+BOUND_NETWORKS = [path.name for path in sorted(FIXTURE_DIR.glob("*.case"))] + [
+    (n, seed) for n in (5, 20, 60) for seed in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("source", BOUND_NETWORKS, ids=str)
+def test_error_bound_matches_the_subtree_loop(source, theta):
+    if isinstance(source, str):
+        net = load_fixture(source)
+    else:
+        net = parse_case(make_feeder(*source, thermal=True, loads=True).text)
+    c, g = ConstraintSet(theta_max=theta), GridSpec()
+    want = grid_error_bound_loop(net, c, g)
+    assert abs(grid_error_bound(net, c, g) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize(
+    "c", [ConstraintSet(), ConstraintSet(theta_max=0.004), ConstraintSet(eta=0.9)], ids=["plain", "theta", "eta"]
+)
+@pytest.mark.parametrize("name", ["3bus.case", "3bus_complex.case"])
+def test_surface_matches_the_dense_evaluation(name, c):
+    net = load_fixture(name)
+    got = pv_curve_surface(net, c, GridSpec())
+    rows, p_pairs, feasible, max_index = dense_surface(net, c, GridSpec())
+    assert got.max_index == max_index
+    np.testing.assert_array_equal(got.feasible, feasible)
+    np.testing.assert_allclose(got.rows, rows, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(got.p_pairs, p_pairs, rtol=0, atol=1e-14)

@@ -8,9 +8,9 @@ import pytest
 from hostcap.hccore import ConstraintSet, solve_hc
 from hostcap.netmodel import parse_case
 from hostcap.partition import make_partition, solve_distributed_hc
-from hostcap.powerflow import quadratic_form_total
 
 from conftest import load_fixture
+from reference import quadratic_form_total, v_im, v_re
 
 CHAIN8 = """
 BASE 1 1
@@ -114,7 +114,7 @@ def test_subsystem_quadratic_forms_add_up(net123):
     p = make_partition(net123, [16, 73])
     sol = solve_distributed_hc(net123, c, p)
     total = quadratic_form_total(net123, sol.state)
-    vre, vim = sol.state.v_re, sol.state.v_im
+    vre, vim = v_re(sol.state), v_im(sol.state)
     per_seg = 0.0
     for s in p.subsystems:
         for bi in s.branch_indices:

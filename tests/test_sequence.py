@@ -26,12 +26,12 @@ from hostcap.sequence import (
     sequence_ybus,
     solve_unbalanced_hc,
     to_sequence,
-    unbalance_currents,
     _solve_sequence_nodal,
 )
 from hostcap.netmodel import BusKind
 
 from conftest import fixture_text, load_fixture
+from reference import unbalance_currents
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 

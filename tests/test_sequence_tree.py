@@ -28,10 +28,10 @@ from hostcap.sequence import (
     positive_sequence_network,
     sequence_ybus,
     solve_unbalanced_hc,
-    unbalance_currents,
 )
 
 from conftest import FIXTURE_DIR, fixture_text
+from reference import unbalance_currents
 from test_sequence import absent_phase_net3, balanced_branch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
