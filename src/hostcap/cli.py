@@ -132,6 +132,8 @@ def cmd_solve(args) -> int:
     net = parse_case(text)
     c = _constraints(args, text)
     report = _base_report("solve", args.case, text, c)
+    # before the solve, so an invalid cut exits as an input error without solving first
+    part = make_partition(net, args.cut) if args.cut else None
 
     t0 = time.perf_counter()
     stages = solve_hc_stages(net, c)
@@ -143,8 +145,7 @@ def cmd_solve(args) -> int:
     final = stages[-1]
     timings = {"monolithic_ms": mono_ms}
 
-    if args.cut:
-        part = make_partition(net, args.cut)
+    if part is not None:
         t1 = time.perf_counter()
         dist = solve_distributed_hc(net, c, part)
         timings["distributed_ms"] = (time.perf_counter() - t1) * 1000.0

@@ -57,7 +57,6 @@ __all__ = [
     "Verdict",
     "InfeasibleError",
     "AdjustmentError",
-    "BoundaryConflict",
     "weighted_hc",
     "critical_angle",
     "solve_voltage_only",
@@ -89,10 +88,6 @@ class InfeasibleError(RuntimeError):
 
 class AdjustmentError(RuntimeError):
     """A correction stage failed to converge."""
-
-
-class BoundaryConflict(AdjustmentError):
-    """A correction would need to move a bus that is held fixed."""
 
 
 @dataclass(frozen=True)
@@ -381,12 +376,7 @@ def _branch_term(a: float, b: float, cos_t: float) -> float:
     return a * a + b * b - 2 * a * b * cos_t
 
 
-def adjust_thermal(
-    network: Network,
-    c: ConstraintSet,
-    sol: HCSolution,
-    immutable: frozenset[int] = frozenset(),
-) -> HCSolution:
+def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSolution:
     """Clamp branches whose current exceeds their thermal limit.
 
     A violating branch has its endpoint magnitudes moved onto the constant-
@@ -400,18 +390,15 @@ def adjust_thermal(
     always move the leaf.)  Among in-box candidates the largest branch term
     wins, then the largest total objective (to 1e-9), then the smaller moved
     magnitude.  When no candidate exists for the held value, a scan over the
-    held side finds a feasible pair.
+    held side (unless it is the slack) finds a feasible pair.
     Changes stay local to the branch endpoints; all limited branches are
-    re-checked until clean.  Buses listed in ``immutable`` must not move;
-    a violation that would have to move one raises
-    :class:`BoundaryConflict` so a partitioned caller can fall back to the
-    monolithic solve.
+    re-checked until clean.  A bus the clamp does not move keeps its input
+    float bit for bit.
     """
     limited = [(bi, br) for bi, br in enumerate(network.branches) if br.thermal_limit is not None]
     if not limited:
         return sol
     slack = network.slack_index
-    fixed_buses = set(immutable) | {slack}
     _, depths, _ = bfs_tree(network)
     # root-outward processing: the deeper endpoint is the one that moves
     limited.sort(key=lambda item: (max(depths[item[1].from_bus], depths[item[1].to_bus]), item[0]))
@@ -450,19 +437,11 @@ def adjust_thermal(
             dirty = True
             changed_any = True
             hold, move = (i, k) if depths[i] < depths[k] else (k, i)
-            if move in fixed_buses:
-                raise BoundaryConflict(
-                    f"branch {i}-{k} violates its thermal limit at a fixed boundary bus"
-                )
             kappa2 = (cap / yabs) ** 2
             cos_t = math.cos(angles[i] - angles[k])
 
             options = clamp_pairs([float(mags[hold])], cos_t, kappa2)
-            if not options and hold in immutable:
-                raise BoundaryConflict(
-                    f"thermal limit on branch {i}-{k} needs the fixed boundary bus {hold} to move"
-                )
-            if not options and hold not in fixed_buses:
+            if not options and hold != slack:
                 # last resort: let the held side scan the box too
                 grid = [float(a) for a in np.linspace(c.v_min, c.v_max, 201)]
                 options = clamp_pairs(grid, cos_t, kappa2)
@@ -484,12 +463,7 @@ def adjust_thermal(
 # --- power-factor correction -------------------------------------------------
 
 
-def adjust_power_factor(
-    network: Network,
-    c: ConstraintSet,
-    sol: HCSolution,
-    immutable: frozenset[int] = frozenset(),
-) -> HCSolution:
+def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSolution:
     """Clamp generator reactive power to the pf band and re-solve voltages.
 
     Violating generator buses are converted to fixed-(P, Q) with P at its
@@ -526,10 +500,6 @@ def adjust_power_factor(
         if not newly and converted:
             break
         for i in newly:
-            if i in immutable or i == network.slack_index:
-                raise BoundaryConflict(
-                    f"power-factor violation at fixed bus {i} cannot be corrected locally"
-                )
             p_target = float(inj.p[i])
             q_edge = math.copysign(pf_q_bounds(p_target, c.eta)[1], inj.q[i])
             converted[i] = (p_target, q_edge)
@@ -579,27 +549,23 @@ def adjust_power_factor(
 # --- full pipeline -----------------------------------------------------------
 
 
-def solve_hc_stages(
-    network: Network,
-    c: ConstraintSet,
-    immutable: frozenset[int] = frozenset(),
-) -> list[HCSolution]:
+def solve_hc_stages(network: Network, c: ConstraintSet) -> list[HCSolution]:
     """Run the constructive pipeline, returning each produced stage.
 
     Pattern stage, then thermal and power-factor corrections; the two
     corrections are repeated (bounded) until both limit families hold at
     once, since the power-factor re-solve can disturb a clamped current.
-    Buses in ``immutable`` keep their pattern values: a correction that
-    would move one raises :class:`BoundaryConflict`.  The partitioned solve
-    passes its cut buses here.
+    A correction writes back every bus it leaves alone with its own float
+    (Newton updates only the buses it converts), so the partitioned solve
+    tells from the stages alone whether a cut bus left its pattern value.
     """
     sol = _pattern_stage(network, c)
     stages = [sol]
     for _ in range(8):
-        t = adjust_thermal(network, c, sol, immutable=immutable)
+        t = adjust_thermal(network, c, sol)
         if t is not sol:
             stages.append(t)
-        p = adjust_power_factor(network, c, t, immutable=immutable)
+        p = adjust_power_factor(network, c, t)
         if p is not t:
             stages.append(p)
         sol = p
@@ -610,5 +576,10 @@ def solve_hc_stages(
 
 
 def solve_hc(network: Network, c: ConstraintSet) -> HCSolution:
-    """Globally optimal hosting capacity under the full constraint set."""
+    """Hosting capacity under the full constraint set: the pipeline's last stage.
+
+    The pattern stages are the paper's proven optimum of the box/angle
+    problem.  After a thermal or power-factor correction the point is
+    constructive and verified, but not proven optimal.
+    """
     return solve_hc_stages(network, c)[-1]

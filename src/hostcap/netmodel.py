@@ -1,6 +1,6 @@
 """Radial feeder model: case-file parsing, admittance assembly, BFS tree.
 
-Buses and branches are plain immutable records; the :class:`Network` bundles
+Buses and branches are plain frozen records; the :class:`Network` bundles
 them with per-branch arrays and the BFS tree from the slack.  The dense
 admittance matrix (:func:`build_ybus`) is not part of it: only tests build it,
 as the reference of the branch-wise evaluation.  All quantities are per-unit
@@ -104,7 +104,7 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """An immutable bus/branch network over per-branch arrays.
+    """A frozen bus/branch network over per-branch arrays.
 
     Construction validates that bus ids are contiguous from 0, that exactly
     one bus is the slack, that branch endpoints exist and that the branch

@@ -1,13 +1,14 @@
-"""Segment a radial feeder at cut buses and solve with the cuts held fixed.
+"""Segment a radial feeder at cut buses and solve it partitioned.
 
 A cut bus belongs to two subsystems: the one containing everything on its
 slack side and the one rooted at the cut itself (all its subtrees).  Because
 the optimal voltage pattern is known in closed form from the tree depths,
 every boundary voltage is fixed up front, so the segments need no
 coordination loop: neighbouring segments agree on a cut bus by construction.
-The solve is therefore one pass of the ordinary pipeline over the whole tree
-with the cut buses held at their pattern values; any correction that would
-have to move a cut bus falls back to the monolithic solve (logged).
+The solve is therefore one run of the ordinary pipeline over the whole tree,
+read at the cut buses: where no correction moved a cut bus from its pattern
+value the segments were independent, and where one did, the result is the
+monolithic solve's (logged).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hccore import AdjustmentError, ConstraintSet, HCSolution, solve_hc, solve_hc_stages
+from .hccore import ConstraintSet, HCSolution, solve_hc, solve_hc_stages
 from .hccore import finalize_solution  # noqa: F401  kept as a module attribute: bench/tracer.py shims it here
 from .netmodel import Network, bfs_tree
 from .powerflow import evaluate_injections  # noqa: F401  likewise
@@ -47,8 +48,14 @@ class Partition:
 
 
 def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> Partition:
-    """Split the tree at the given cut buses into len(cuts)+1 subsystems."""
-    parents, depths, order = bfs_tree(network)
+    """Split the tree at the given cut buses into len(cuts)+1 subsystems.
+
+    Subsystem 0 is rooted at the slack and subsystem s >= 1 at the s-th cut
+    in BFS order.  A bus hands the branches to its children to the subsystem
+    it roots, or else to the one holding the branch to its own parent; a
+    subsystem's buses are its root and the far ends of its branches.
+    """
+    parents, _, order = bfs_tree(network)
     cuts = list(dict.fromkeys(cut_buses))
     if len(cuts) != len(cut_buses):
         raise ValueError("duplicate cut buses")
@@ -60,63 +67,50 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
             raise ValueError("cut on slack bus")
         if degree[b] < 2:
             raise ValueError(f"cut bus {b} is a leaf and splits nothing")
-    if not cuts:
-        return Partition(
-            subsystems=(
-                Subsystem(
-                    index=0,
-                    root=network.slack_index,
-                    buses=tuple(range(network.n)),
-                    branch_indices=tuple(range(len(network.branches))),
-                ),
-            ),
-            cut_buses=(),
-        )
 
-    cut_set = set(cuts)
-    seg_of_cut = {b: i + 1 for i, b in enumerate(sorted(cut_set, key=order.index))}
-    interior_seg = {network.slack_index: 0}
-    seg_branches: dict[int, list[int]] = {i: [] for i in range(len(cuts) + 1)}
-    branch_by_pair = {}
-    for bi, br in enumerate(network.branches):
-        branch_by_pair[(br.from_bus, br.to_bus)] = bi
-        branch_by_pair[(br.to_bus, br.from_bus)] = bi
-    for k in order:
-        p = int(parents[k])
-        if p < 0:
-            continue
-        seg = seg_of_cut[p] if p in cut_set else interior_seg[p]
-        interior_seg[k] = seg
-        seg_branches[seg].append(branch_by_pair[(p, k)])
-
+    roots = [network.slack_index] + sorted(cuts, key=order.index)
+    rooted = {b: s for s, b in enumerate(roots)}
+    below = [0] * network.n  # the subsystem of the branches from each bus to its children
+    for b in order[1:]:  # root-outward, so a parent is settled before its children
+        below[b] = rooted.get(b, below[parents[b]])
+    i, k = network.branch_from, network.branch_to
+    child = np.where(parents[k] == i, k, i)
+    owner = np.asarray(below)[parents[child]]
     subsystems = []
-    for seg in range(len(cuts) + 1):
-        bis = sorted(seg_branches[seg])
-        members = set()
-        for bi in bis:
-            members.add(network.branches[bi].from_bus)
-            members.add(network.branches[bi].to_bus)
-        root = network.slack_index if seg == 0 else next(b for b, s in seg_of_cut.items() if s == seg)
-        members.add(root)
-        subsystems.append(
-            Subsystem(index=seg, root=root, buses=tuple(sorted(members)), branch_indices=tuple(bis))
-        )
-    return Partition(subsystems=tuple(subsystems), cut_buses=tuple(sorted(cut_set)))
+    for s, root in enumerate(roots):
+        bis = np.flatnonzero(owner == s)
+        buses = tuple(sorted([root, *child[bis].tolist()]))
+        subsystems.append(Subsystem(index=s, root=root, buses=buses, branch_indices=tuple(bis.tolist())))
+    return Partition(subsystems=tuple(subsystems), cut_buses=tuple(sorted(cuts)))
+
+
+_CORRECTION = {"thermal_adjusted": "thermal", "pf_adjusted": "power-factor"}
 
 
 def solve_distributed_hc(network: Network, c: ConstraintSet, p: Partition) -> HCSolution:
-    """Solve with every cut bus held at its pattern value.
+    """Solve the feeder with its cut buses at their pattern values.
 
-    One pass of the ordinary pipeline over the whole tree, so each cut bus
-    is seen with its full injection.  Falls back to the monolithic solve
-    (logged) when a correction would have to move a cut bus.
+    One run of the ordinary pipeline over the whole tree, so each cut bus
+    is seen with its full injection.  Where no correction moved a cut bus
+    (magnitude and angle bit for bit against the pattern stage), the last
+    stage is the segments' joint answer and is labelled ``distributed``.
+    Otherwise the partitioned solve falls back to the monolithic one (logged)
+    and returns the last stage unchanged.
     """
     if not p.cut_buses:
         return solve_hc(network, c)
-    try:
-        stages = solve_hc_stages(network, c, immutable=frozenset(p.cut_buses))
-    except AdjustmentError as exc:
-        logger.warning("partitioned solve fell back to monolithic: %s", exc)
-        return solve_hc(network, c)
+    stages = solve_hc_stages(network, c)
+    pattern = stages[0].state
+    for sol in stages[1:]:
+        moved = [
+            b for b in p.cut_buses
+            if sol.state.magnitudes[b] != pattern.magnitudes[b] or sol.state.angles[b] != pattern.angles[b]
+        ]
+        if moved:
+            logger.warning(
+                "partitioned solve fell back to monolithic: the %s correction moved cut bus %d",
+                _CORRECTION[sol.stage],
+                moved[0],
+            )
+            return stages[-1]
     return replace(stages[-1], stage="distributed")
-

@@ -258,3 +258,30 @@ def test_oracle_refuses_before_the_grid_search(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "error: surface sampling needs exactly two free buses, got 3" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "cut,message",
+    [("0", "cut on slack bus"), ("2", "cut bus 2 is a leaf and splits nothing"), ("9", "unknown cut bus 9")],
+    ids=["slack", "leaf", "unknown"],
+)
+def test_invalid_cut_is_an_input_error_before_any_solve(tmp_path, monkeypatch, capsys, cut, message):
+    # the case of test_infeasible_solve_exits_two: a solve would report "infeasible" first
+    import hostcap.cli
+
+    case = tmp_path / "tight.case"
+    case.write_text(
+        "BASE 1 1\n"
+        "BUS 0 slack 0 0 0\n"
+        "BUS 1 gen 0 0 1\n"
+        "BUS 2 gen 0 0 1\n"
+        "BRANCH 0 1 0.05 0.02\n"
+        "BRANCH 1 2 0.05 0.02 1e-6\n"
+    )
+    solves = []
+    solve = hostcap.cli.solve_hc_stages
+    monkeypatch.setattr(hostcap.cli, "solve_hc_stages", lambda *a: solves.append(a) or solve(*a))
+    code = hostcap.cli.main(["solve", "--theta-max", "0.1", str(case), "--cut", cut])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert solves == []

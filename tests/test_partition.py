@@ -175,3 +175,27 @@ def test_invariance_over_random_trees_and_cuts():
         dist = solve_distributed_hc(net, c, make_partition(net, cuts))
         assert dist.hc_total == pytest.approx(mono.hc_total, abs=1e-8), (n, cuts)
         trials += 1
+
+
+def test_partition_invariants_over_random_trees_and_cuts():
+    rng = np.random.default_rng(161803)
+    for _ in range(200):
+        n = int(rng.integers(8, 61))
+        net = random_tree(rng, n)
+        parents, order = net.parents, net.order.tolist()
+        internal = sorted({int(parents[b]) for b in range(1, n)} - {0})
+        ncuts = int(rng.integers(0, min(5, len(internal)) + 1))
+        cuts = [int(b) for b in rng.choice(internal, size=ncuts, replace=False)]
+        p = make_partition(net, cuts)
+        assert p.cut_buses == tuple(sorted(cuts))
+        assert [s.index for s in p.subsystems] == list(range(ncuts + 1))
+        assert [s.root for s in p.subsystems] == [0] + sorted(cuts, key=order.index)
+        owned = sorted(bi for s in p.subsystems for bi in s.branch_indices)
+        assert owned == list(range(n - 1))  # each branch owned exactly once
+        for s in p.subsystems:
+            assert len(s.buses) == len(s.branch_indices) + 1  # a subtree
+            assert all(int(parents[b]) in s.buses for b in s.buses if b != s.root), (cuts, s)
+        count = np.zeros(n, int)
+        for s in p.subsystems:
+            count[list(s.buses)] += 1
+        assert count.tolist() == [2 if b in cuts else 1 for b in range(n)]

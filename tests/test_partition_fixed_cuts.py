@@ -1,13 +1,16 @@
-"""The partitioned solve is one pipeline pass with the cut buses held fixed.
+"""The partitioned solve is one pipeline pass, read at the cut buses.
 
-Where no correction needs a cut bus to move, it takes exactly the monolithic
-solve's steps; otherwise it falls back to the monolithic solve (logged).
+Where no correction moved a cut bus, it returns exactly the monolithic
+solve's point as ``distributed``; otherwise it falls back to the monolithic
+solve (logged).
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 
+from hostcap import hccore
 from hostcap.hccore import ConstraintSet, solve_hc
 from hostcap.netmodel import parse_case
 from hostcap.partition import make_partition, solve_distributed_hc
@@ -89,3 +92,25 @@ def test_distributed_is_bitwise_monolithic_on_thermal_random_trees():
         assert_same_solution(dist, mono)
     # some distributed solves must have clamped a branch, so the bitwise match covers the thermal stage
     assert outcomes["clamped"] > 0 and outcomes["fallback"] > 0, outcomes
+
+
+@pytest.mark.parametrize(
+    "net,cut,c,fallback",
+    [
+        (parse_case(CHAIN_LIMIT_BELOW_CUT), 1, ConstraintSet(theta_max=0.01), True),
+        (load_fixture("8bus_pf.case"), 4, ConstraintSet(eta=0.95), True),
+        (load_fixture("8bus.case"), 4, ConstraintSet(), False),
+    ],
+    ids=["thermal_fallback", "pf_fallback", "distributed"],
+)
+def test_one_pipeline_pass_per_partitioned_solve(monkeypatch, caplog, net, cut, c, fallback):
+    passes = []
+    pattern = hccore._pattern_stage
+    monkeypatch.setattr(hccore, "_pattern_stage", lambda *a: passes.append(a) or pattern(*a))
+    with caplog.at_level("WARNING", logger="hostcap.partition"):
+        dist = solve_distributed_hc(net, c, make_partition(net, [cut]))
+    assert len(passes) == 1
+    assert (dist.stage != "distributed") == fallback
+    warnings = [rec.message for rec in caplog.records if "fell back" in rec.message]
+    assert len(warnings) == fallback
+    assert all(m.endswith(f"moved cut bus {cut}") for m in warnings), warnings
