@@ -28,6 +28,7 @@ from .hccore import (
     critical_angle,
     pf_q_bounds,
     solve_hc,
+    solve_hc_stages,
     solve_voltage_only,
     solve_with_angle,
     weighted_hc,

@@ -94,10 +94,10 @@ def _solution_json(sol: HCSolution) -> dict:
     return {
         "hc_total": float(sol.hc_total),
         "stage": sol.stage,
-        "magnitudes": [float(v) for v in sol.state.magnitudes],
-        "angles": [float(v) for v in sol.state.angles],
-        "p": [float(v) for v in sol.injections.p],
-        "q": [float(v) for v in sol.injections.q],
+        "magnitudes": sol.state.magnitudes.tolist(),
+        "angles": sol.state.angles.tolist(),
+        "p": sol.injections.p.tolist(),
+        "q": sol.injections.q.tolist(),
         "binding": _binding_json(sol.binding),
     }
 
@@ -147,7 +147,7 @@ def cmd_solve(args) -> int:
 
     if part is not None:
         t1 = time.perf_counter()
-        dist = solve_distributed_hc(net, c, part)
+        dist = solve_distributed_hc(stages, part)
         timings["distributed_ms"] = (time.perf_counter() - t1) * 1000.0
         report["partition"] = {
             "cuts": list(part.cut_buses),
@@ -198,15 +198,8 @@ def cmd_oracle(args) -> int:
     with open(outdir / "pairs.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["p1_pu", "p2_pu", "feasible", "is_max"])
-        for idx in range(surface.rows.shape[0]):
-            w.writerow(
-                [
-                    repr(float(surface.p_pairs[idx, 0])),
-                    repr(float(surface.p_pairs[idx, 1])),
-                    int(bool(surface.feasible[idx])),
-                    int(idx == surface.max_index),
-                ]
-            )
+        for idx, (p1, p2) in enumerate(surface.p_pairs.tolist()):
+            w.writerow([repr(p1), repr(p2), int(bool(surface.feasible[idx])), int(idx == surface.max_index)])
     if args.timings:
         report["timings"] = {"oracle_ms": (time.perf_counter() - t0) * 1000.0}
     _emit(report, args)

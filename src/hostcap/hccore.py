@@ -104,10 +104,10 @@ class ConstraintSet:
     eta: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.v_min <= self.v_max:
-            raise ValueError("require 0 < v_min <= v_max")
-        if self.theta_max < 0:
-            raise ValueError("theta_max must be non-negative")
+        if not 0 < self.v_min <= self.v_max < math.inf:  # false for NaN too
+            raise ValueError("require 0 < v_min <= v_max, both finite")
+        if not 0 <= self.theta_max < math.inf:
+            raise ValueError("theta_max must be finite and non-negative")
         if self.eta is not None and not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
 

@@ -21,6 +21,7 @@ slack is bus 0, but any single bus may be declared ``slack``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -244,9 +245,12 @@ def _tokens(text: str):
 
 def _num(tok: str, lineno: int, what: str) -> float:
     try:
-        return float(tok)
+        val = float(tok)
     except ValueError:
         raise CaseFormatError(f"line {lineno}: {what} is not a number: {tok!r}") from None
+    if not math.isfinite(val):
+        raise CaseFormatError(f"line {lineno}: {what} must be finite: {tok!r}")
+    return val
 
 
 def _int(tok: str, lineno: int, what: str) -> int:

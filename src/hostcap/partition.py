@@ -1,14 +1,15 @@
-"""Segment a radial feeder at cut buses and solve it partitioned.
+"""Segment a radial feeder at cut buses and read the solve at them.
 
 A cut bus belongs to two subsystems: the one containing everything on its
 slack side and the one rooted at the cut itself (all its subtrees).  Because
 the optimal voltage pattern is known in closed form from the tree depths,
 every boundary voltage is fixed up front, so the segments need no
 coordination loop: neighbouring segments agree on a cut bus by construction.
-The solve is therefore one run of the ordinary pipeline over the whole tree,
-read at the cut buses: where no correction moved a cut bus from its pattern
-value the segments were independent, and where one did, the result is the
-monolithic solve's (logged).
+The partitioned solve therefore solves nothing: it reads the caller's one
+pipeline run at the cut buses.  Where no correction moved a cut bus from its
+pattern value the segments were independent; where one did, the result is
+the monolithic solve's (logged).  Of the hccore and powerflow imports, all
+but ``HCSolution`` are here only for bench/tracer.py, which shims them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hccore import ConstraintSet, HCSolution, solve_hc, solve_hc_stages
-from .hccore import finalize_solution  # noqa: F401  kept as a module attribute: bench/tracer.py shims it here
+from .hccore import HCSolution, finalize_solution, solve_hc, solve_hc_stages  # noqa: F401  all but HCSolution: tracer shim targets
 from .netmodel import Network, bfs_tree
 from .powerflow import evaluate_injections  # noqa: F401  likewise
 
@@ -87,19 +87,19 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
 _CORRECTION = {"thermal_adjusted": "thermal", "pf_adjusted": "power-factor"}
 
 
-def solve_distributed_hc(network: Network, c: ConstraintSet, p: Partition) -> HCSolution:
-    """Solve the feeder with its cut buses at their pattern values.
+def solve_distributed_hc(stages: list[HCSolution], p: Partition) -> HCSolution:
+    """Read the pipeline's stages at the cut buses.
 
-    One run of the ordinary pipeline over the whole tree, so each cut bus
-    is seen with its full injection.  Where no correction moved a cut bus
-    (magnitude and angle bit for bit against the pattern stage), the last
-    stage is the segments' joint answer and is labelled ``distributed``.
-    Otherwise the partitioned solve falls back to the monolithic one (logged)
-    and returns the last stage unchanged.
+    ``stages`` is what ``solve_hc_stages`` returned for the whole tree, so
+    each cut bus is seen with its full injection.  Where no correction moved
+    a cut bus (magnitude and angle bit for bit against the pattern stage),
+    the last stage is the segments' joint answer and is labelled
+    ``distributed``.  Otherwise the partitioned solve falls back to the
+    monolithic one (logged) and returns the last stage unchanged, as it
+    does with no cuts.
     """
     if not p.cut_buses:
-        return solve_hc(network, c)
-    stages = solve_hc_stages(network, c)
+        return stages[-1]
     pattern = stages[0].state
     for sol in stages[1:]:
         moved = [

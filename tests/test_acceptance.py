@@ -17,6 +17,7 @@ from hostcap.hccore import (
     critical_angle,
     power_factors,
     solve_hc,
+    solve_hc_stages,
     solve_voltage_only,
     verify,
 )
@@ -209,7 +210,7 @@ def test_partition_equivalence():
             c = ConstraintSet()
             mono = solve_hc(net, c)
             part = make_partition(net, cuts)
-            first, again = (solve_distributed_hc(net, c, part) for _ in range(2))
+            first, again = (solve_distributed_hc(solve_hc_stages(net, c), part) for _ in range(2))
             assert first.hc_total == pytest.approx(mono.hc_total, abs=1e-8), name
             assert again.hc_total == first.hc_total, name  # bitwise equal
             np.testing.assert_array_equal(again.state.magnitudes, first.state.magnitudes)

@@ -285,3 +285,32 @@ def test_invalid_cut_is_an_input_error_before_any_solve(tmp_path, monkeypatch, c
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert solves == []
+
+
+THREE_BUS = (FIXTURE_DIR / "3bus.case").read_text()
+
+
+@pytest.mark.parametrize(
+    "command,text,flags",
+    [
+        ("solve", THREE_BUS, ["--theta-max", "nan"]),
+        ("solve", THREE_BUS, ["--vmax", "inf"]),
+        ("solve", THREE_BUS.replace("BRANCH 1 2 1.0 0.0", "BRANCH 1 2 nan 0.01"), []),
+        ("solve", THREE_BUS.replace("BUS 2 gen   0.0 0.0 1.0", "BUS 2 gen   0.0 0.0 nan"), []),
+        ("solve", THREE_BUS.replace("BRANCH 1 2 1.0 0.0", "BRANCH 1 2 1.0 0.0 inf"), []),
+        ("solve", THREE_BUS.replace("BASE 1.0 12.47", "BASE inf 12.47"), []),
+        ("solve", "LIMITS 0.95 1.05 nan\n" + THREE_BUS, []),
+        ("solve", THREE_BUS + "SHUNT 2 nan 0\n", []),
+        ("unbalanced", (FIXTURE_DIR / "8bus_balanced.case3").read_text().replace(" 0.0 1.0\n", " 0.0 nan\n", 1), []),
+    ],
+    ids=["theta_nan", "vmax_inf", "branch_r_nan", "lambda_nan", "thermal_inf",
+         "base_inf", "limits_nan", "shunt_nan", "case3_lambda_nan"],
+)
+def test_non_finite_input_is_an_input_error(tmp_path, capsys, command, text, flags):
+    import hostcap.cli
+
+    case = tmp_path / ("in.case3" if command == "unbalanced" else "in.case")
+    case.write_text(text)
+    code = hostcap.cli.main([command, str(case), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hostcap.hccore import ConstraintSet, solve_hc
+from hostcap.hccore import ConstraintSet, solve_hc, solve_hc_stages
 from hostcap.netmodel import parse_case
 from hostcap.partition import make_partition, solve_distributed_hc
 
@@ -60,7 +60,7 @@ def test_empty_cut_list_is_identity(net8):
     assert len(p.subsystems) == 1
     c = ConstraintSet()
     mono = solve_hc(net8, c)
-    dist = solve_distributed_hc(net8, c, p)
+    dist = solve_distributed_hc(solve_hc_stages(net8, c), p)
     assert dist.hc_total == mono.hc_total
     np.testing.assert_array_equal(dist.state.magnitudes, mono.state.magnitudes)
     assert dist.stage == mono.stage
@@ -92,7 +92,7 @@ def test_cut_validation(net8):
 def test_distributed_matches_monolithic(name, cuts, c):
     net = load_fixture(name)
     mono = solve_hc(net, c)
-    dist = solve_distributed_hc(net, c, make_partition(net, cuts))
+    dist = solve_distributed_hc(solve_hc_stages(net, c), make_partition(net, cuts))
     assert dist.hc_total == pytest.approx(mono.hc_total, abs=1e-8)
     np.testing.assert_allclose(dist.state.magnitudes, mono.state.magnitudes, atol=1e-8)
     np.testing.assert_allclose(dist.state.angles, mono.state.angles, atol=1e-8)
@@ -101,7 +101,7 @@ def test_distributed_matches_monolithic(name, cuts, c):
 def test_boundary_values_agree_exactly(net123):
     c = ConstraintSet(theta_max=0.01)
     p = make_partition(net123, [16, 73])
-    dist = solve_distributed_hc(net123, c, p)
+    dist = solve_distributed_hc(solve_hc_stages(net123, c), p)
     mono = solve_hc(net123, c)
     for b in p.cut_buses:
         assert dist.state.magnitudes[b] == mono.state.magnitudes[b]
@@ -112,7 +112,7 @@ def test_subsystem_quadratic_forms_add_up(net123):
     # each branch owned by exactly one subsystem -> branch-term totals add
     c = ConstraintSet()
     p = make_partition(net123, [16, 73])
-    sol = solve_distributed_hc(net123, c, p)
+    sol = solve_distributed_hc(solve_hc_stages(net123, c), p)
     total = quadratic_form_total(net123, sol.state)
     vre, vim = v_re(sol.state), v_im(sol.state)
     per_seg = 0.0
@@ -137,7 +137,7 @@ def test_fallback_on_cross_boundary_thermal(net8, caplog):
     p = make_partition(net, [3, 4])
     mono = solve_hc(net, c)
     with caplog.at_level("WARNING", logger="hostcap.partition"):
-        dist = solve_distributed_hc(net, c, p)
+        dist = solve_distributed_hc(solve_hc_stages(net, c), p)
     assert dist.hc_total == pytest.approx(mono.hc_total, abs=1e-12)
     assert any("fell back" in rec.message for rec in caplog.records)
 
@@ -172,7 +172,7 @@ def test_invariance_over_random_trees_and_cuts():
         cuts = [int(b) for b in rng.choice(internal, size=ncuts, replace=False)]
         c = ConstraintSet(theta_max=float(rng.choice([0.0, 0.004, 0.01])))
         mono = solve_hc(net, c)
-        dist = solve_distributed_hc(net, c, make_partition(net, cuts))
+        dist = solve_distributed_hc(solve_hc_stages(net, c), make_partition(net, cuts))
         assert dist.hc_total == pytest.approx(mono.hc_total, abs=1e-8), (n, cuts)
         trials += 1
 

@@ -6,16 +6,17 @@ solve (logged).
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from hostcap import hccore
-from hostcap.hccore import ConstraintSet, solve_hc
+from hostcap import cli, hccore
+from hostcap.hccore import ConstraintSet, solve_hc, solve_hc_stages
 from hostcap.netmodel import parse_case
 from hostcap.partition import make_partition, solve_distributed_hc
 
-from conftest import load_fixture
+from conftest import FIXTURE_DIR, load_fixture
 from test_partition import random_tree
 
 # the clamp on 1-2 holds bus 1 at v_max, where no bus-2 value meets the limit
@@ -44,7 +45,7 @@ def test_blocked_clamp_at_a_cut_bus_falls_back(caplog):
     mono = solve_hc(net, c)
     assert mono.stage == "thermal_adjusted"
     with caplog.at_level("WARNING", logger="hostcap.partition"):
-        dist = solve_distributed_hc(net, c, make_partition(net, [1]))
+        dist = solve_distributed_hc(solve_hc_stages(net, c), make_partition(net, [1]))
     assert any("fell back" in rec.message for rec in caplog.records)
     assert dist.stage == mono.stage
     assert_same_solution(dist, mono)
@@ -55,7 +56,7 @@ def test_power_factor_conflict_at_a_cut_bus_falls_back(caplog):
     c = ConstraintSet(eta=0.95)
     mono = solve_hc(net, c)
     with caplog.at_level("WARNING", logger="hostcap.partition"):
-        dist = solve_distributed_hc(net, c, make_partition(net, [4]))
+        dist = solve_distributed_hc(solve_hc_stages(net, c), make_partition(net, [4]))
     messages = [rec.message for rec in caplog.records]
     assert any("fell back" in m and "power-factor" in m for m in messages), messages
     assert_same_solution(dist, mono)
@@ -84,7 +85,7 @@ def test_distributed_is_bitwise_monolithic_on_thermal_random_trees():
         cuts = [int(b) for b in rng.choice(internal, size=ncuts, replace=False)]
         c = ConstraintSet(theta_max=float(rng.choice([0.0, 0.004, 0.01])))
         mono = solve_hc(net, c)
-        dist = solve_distributed_hc(net, c, make_partition(net, cuts))
+        dist = solve_distributed_hc(solve_hc_stages(net, c), make_partition(net, cuts))
         if dist.stage != "distributed":
             outcomes["fallback"] += 1
         elif mono.stage == "thermal_adjusted":
@@ -95,22 +96,29 @@ def test_distributed_is_bitwise_monolithic_on_thermal_random_trees():
 
 
 @pytest.mark.parametrize(
-    "net,cut,c,fallback",
+    "case,flags,cut,fallback",
     [
-        (parse_case(CHAIN_LIMIT_BELOW_CUT), 1, ConstraintSet(theta_max=0.01), True),
-        (load_fixture("8bus_pf.case"), 4, ConstraintSet(eta=0.95), True),
-        (load_fixture("8bus.case"), 4, ConstraintSet(), False),
+        (None, ["--theta-max", "0.01"], 1, True),
+        ("8bus_pf.case", ["--eta", "0.95"], 4, True),
+        ("8bus.case", [], 4, False),
     ],
     ids=["thermal_fallback", "pf_fallback", "distributed"],
 )
-def test_one_pipeline_pass_per_partitioned_solve(monkeypatch, caplog, net, cut, c, fallback):
+def test_one_pipeline_pass_per_partitioned_solve(tmp_path, monkeypatch, capsys, caplog, case, flags, cut, fallback):
+    # the CLI's own stages feed the partitioned read, so `solve --cut` runs the pipeline once
+    if case is None:
+        path = tmp_path / "chain.case"
+        path.write_text(CHAIN_LIMIT_BELOW_CUT)
+    else:
+        path = FIXTURE_DIR / case
     passes = []
     pattern = hccore._pattern_stage
     monkeypatch.setattr(hccore, "_pattern_stage", lambda *a: passes.append(a) or pattern(*a))
     with caplog.at_level("WARNING", logger="hostcap.partition"):
-        dist = solve_distributed_hc(net, c, make_partition(net, [cut]))
+        code = cli.main(["solve", str(path), *flags, "--cut", str(cut)])
+    assert code == 0
     assert len(passes) == 1
-    assert (dist.stage != "distributed") == fallback
+    assert (json.loads(capsys.readouterr().out)["result"]["stage"] != "distributed") == fallback
     warnings = [rec.message for rec in caplog.records if "fell back" in rec.message]
     assert len(warnings) == fallback
     assert all(m.endswith(f"moved cut bus {cut}") for m in warnings), warnings
