@@ -30,7 +30,7 @@ from .hccore import (
     InfeasibleError,
     solve_hc_stages,
 )
-from .netmodel import CaseFormatError, TopologyError, parse_case, read_case_limits
+from .netmodel import CaseFormatError, TopologyError, parse_case
 from .oracle import (
     GridCapError,
     GridSpec,
@@ -67,10 +67,9 @@ def _read_case(path: str) -> str:
     return p.read_text()
 
 
-def _constraints(args, text: str) -> ConstraintSet:
+def _constraints(args, case_limits: dict[str, float] | None) -> ConstraintSet:
     defaults = {"v_min": 0.95, "v_max": 1.05, "theta_max": 0.0, "eta": None}
-    file_limits = read_case_limits(text) or {}
-    defaults.update(file_limits)
+    defaults.update(case_limits or {})
     if args.vmin is not None:
         defaults["v_min"] = args.vmin
     if args.vmax is not None:
@@ -130,7 +129,7 @@ def _emit(report: dict, args) -> None:
 def cmd_solve(args) -> int:
     text = _read_case(args.case)
     net = parse_case(text)
-    c = _constraints(args, text)
+    c = _constraints(args, net.case_limits)
     report = _base_report("solve", args.case, text, c)
     # before the solve, so an invalid cut exits as an input error without solving first
     part = make_partition(net, args.cut) if args.cut else None
@@ -166,7 +165,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     text = _read_case(args.case)
     net = parse_case(text)
-    c = _constraints(args, text)
+    c = _constraints(args, net.case_limits)
     g = GridSpec(magnitude_steps=args.grid_steps, angle_steps=args.angle_steps)
     report = _base_report("oracle", args.case, text, c)
 
@@ -209,7 +208,7 @@ def cmd_oracle(args) -> int:
 def cmd_unbalanced(args) -> int:
     text = _read_case(args.case)
     net3 = parse_case3(text)
-    c = _constraints(args, text)
+    c = _constraints(args, net3.case_limits)
     report = _base_report("unbalanced", args.case, text, c)
     sol = solve_unbalanced_hc(net3, c)
     report["unbalanced"] = {
@@ -228,7 +227,7 @@ def cmd_unbalanced(args) -> int:
 def cmd_screen(args) -> int:
     text = _read_case(args.case)
     net = parse_case(text)
-    c = _constraints(args, text)
+    c = _constraints(args, net.case_limits)
     rows = incremental_screening(net, c, step=args.step)
     if args.format == "csv":
         buf = io.StringIO()

@@ -389,55 +389,63 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
     term that the depth rule preserves; a leaf clamp in particular should
     always move the leaf.)  Among in-box candidates the largest branch term
     wins, then the largest total objective (to 1e-9), then the smaller moved
-    magnitude.  When no candidate exists for the held value, a scan over the
-    held side (unless it is the slack) finds a feasible pair.
+    magnitude; a lone candidate is taken without scoring.  When no candidate
+    exists for the held value, a scan over the held side (unless it is the
+    slack) finds a feasible pair.
     Changes stay local to the branch endpoints; all limited branches are
-    re-checked until clean.  A bus the clamp does not move keeps its input
-    float bit for bit.
+    re-checked until clean.  Each pass checks every limited branch in one
+    array expression, and a branch recomputes its current on its own only
+    after a clamp earlier in the pass moved one of its ends, so the points
+    are bit for bit those of checking every branch on its own.  A bus the
+    clamp does not move keeps its input float bit for bit.
     """
-    limited = [(bi, br) for bi, br in enumerate(network.branches) if br.thermal_limit is not None]
-    if not limited:
+    limited = np.flatnonzero(np.isfinite(network.branch_limit))
+    if not limited.size:
         return sol
     slack = network.slack_index
     _, depths, _ = bfs_tree(network)
+    frm, to = network.branch_from, network.branch_to
     # root-outward processing: the deeper endpoint is the one that moves
-    limited.sort(key=lambda item: (max(depths[item[1].from_bus], depths[item[1].to_bus]), item[0]))
+    limited = limited[np.argsort(np.maximum(depths[frm[limited]], depths[to[limited]]), kind="stable")]
+    frm, to, y, cap = frm[limited], to[limited], network.branch_y[limited], network.branch_limit[limited]
+    yabs = np.hypot(y.real, y.imag)  # rounds as abs() of one complex does; np.abs of an array may not
+    over = cap * (1 + TOL["thermal"])
     mags = np.array(sol.state.magnitudes, dtype=float)
     angles = np.array(sol.state.angles, dtype=float)
+    phase = np.exp(1j * angles)  # the angles never move in this stage
     lam = network.lam
 
     def score(pair: tuple[float, float], hold: int, move: int, cos_t: float) -> tuple:
         # rounded, so that the two roots at a leaf, which tie exactly, are not split by round-off
         trial = mags.copy()
         trial[[hold, move]] = pair
-        obj = float(lam @ bus_injections(network, trial * np.exp(1j * angles)).real)
+        obj = float(lam @ bus_injections(network, trial * phase).real)
         return (round(_branch_term(*pair, cos_t), 12), round(obj, 9), -pair[1])
 
     def clamp_pairs(hold_vals: list[float], cos_t: float, kappa2: float):
         # (a, b) pairs with the branch term capped at kappa2, a taken from hold_vals
         return [(a, b) for a in hold_vals for b in _curve_candidates(a, cos_t, kappa2, c)]
 
-    changed_any = False
     max_passes = max(16, 2 * network.n)
+    branches = list(zip(frm.tolist(), to.tolist(), yabs.tolist(), cap.tolist(), over.tolist()))
     for _pass in range(max_passes + 1):
-        dirty = False
-        for bi, br in limited:
-            i, k = br.from_bus, br.to_bus
-            yabs = abs(br.series_admittance)
-            cap = br.thermal_limit
-            cur = yabs * abs(
-                mags[i] * np.exp(1j * angles[i]) - mags[k] * np.exp(1j * angles[k])
+        v = mags * phase
+        v = v[frm] - v[to]
+        flagged = ~(yabs * np.hypot(v.real, v.imag) <= over)
+        if not flagged.any():
+            break
+        if _pass == max_passes:
+            raise AdjustmentError(
+                f"thermal correction did not settle after {max_passes} passes"
             )
-            if cur <= cap * (1 + TOL["thermal"]):
+        moved: set[int] = set()  # buses a clamp in this pass has written
+        for (i, k, yk, ck, limit), hot in zip(branches, flagged.tolist()):
+            if i in moved or k in moved:
+                hot = not yk * abs(mags[i] * phase[i] - mags[k] * phase[k]) <= limit
+            if not hot:
                 continue
-            if _pass == max_passes:
-                raise AdjustmentError(
-                    f"thermal correction did not settle after {max_passes} passes"
-                )
-            dirty = True
-            changed_any = True
             hold, move = (i, k) if depths[i] < depths[k] else (k, i)
-            kappa2 = (cap / yabs) ** 2
+            kappa2 = (ck / yk) ** 2
             cos_t = math.cos(angles[i] - angles[k])
 
             options = clamp_pairs([float(mags[hold])], cos_t, kappa2)
@@ -447,14 +455,15 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
                 options = clamp_pairs(grid, cos_t, kappa2)
             if not options:
                 raise InfeasibleError(
-                    f"thermal limit {cap} on branch {i}-{k} admits no voltage "
+                    f"thermal limit {ck} on branch {i}-{k} admits no voltage "
                     "pair inside the magnitude box"
                 )
-            # max keeps the first of equal keys
-            mags[[hold, move]] = max(options, key=lambda pair: score(pair, hold, move, cos_t))
-        if not dirty:
-            break
-    if not changed_any:
+            # a lone candidate is taken unscored; max keeps the first of equal keys
+            mags[[hold, move]] = options[0] if len(options) == 1 else max(
+                options, key=lambda pair: score(pair, hold, move, cos_t)
+            )
+            moved.update((hold, move))
+    if _pass == 0:  # nothing was clamped
         return sol
     state = VoltageState(magnitudes=mags, angles=angles)
     return finalize_solution(network, c, state, stage="thermal_adjusted")

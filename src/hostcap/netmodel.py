@@ -36,7 +36,6 @@ __all__ = [
     "TopologyError",
     "parse_case",
     "serialize_case",
-    "read_case_limits",
     "build_ybus",
     "bfs_tree",
 ]
@@ -115,7 +114,8 @@ class Network:
     thermal limit), the breadth-first walk from the slack (``parents``,
     ``depths``, ``order``; see :func:`bfs_tree`), the slack index and the
     objective weights ``lam``.  The solver and the grid oracle run on these
-    alone.
+    alone.  ``case_limits`` holds the case file's LIMITS record (None
+    without one): constraint defaults for the CLI, unused by the solver.
     """
 
     buses: tuple[Bus, ...]
@@ -124,6 +124,7 @@ class Network:
     base_kv: float = 1.0
     slack_vm: float = 1.0
     shunts: tuple[complex, ...] | None = None
+    case_limits: dict[str, float] | None = None
     # per-branch arrays, in branch order; branch_limit is +inf where unlimited
     branch_from: np.ndarray = field(init=False, repr=False)
     branch_to: np.ndarray = field(init=False, repr=False)
@@ -282,12 +283,13 @@ def _limits(toks: list[str], lineno: int) -> dict[str, float]:
     return dict(zip(("v_min", "v_max", "theta_max", "eta"), vals))
 
 
-def _read_records(text: str, handlers: dict) -> tuple[float, float]:
+def _read_records(text: str, handlers: dict) -> tuple[tuple[float, float], dict[str, float] | None]:
     """Read BASE and LIMITS, pass every other record to ``handlers[record](toks, lineno)``.
 
-    Shared by every case format; returns the (MVA, kV) base.
+    Shared by every case format; returns the (MVA, kV) base and the first
+    LIMITS record's values (None without one).
     """
-    base = None
+    base = limits = None
     for lineno, toks in _tokens(text):
         rec = toks[0].upper()
         if rec == "BASE":
@@ -295,14 +297,15 @@ def _read_records(text: str, handlers: dict) -> tuple[float, float]:
                 raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
             base = (_num(toks[1], lineno, "base MVA"), _num(toks[2], lineno, "base kV"))
         elif rec == "LIMITS":
-            _limits(toks, lineno)  # constraint defaults; consumed by read_case_limits
+            found = _limits(toks, lineno)  # every record is checked; the first one counts
+            limits = limits or found
         elif rec in handlers:
             handlers[rec](toks, lineno)
         else:
             raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
     if base is None:
         raise CaseFormatError("missing BASE header")
-    return base
+    return base, limits
 
 
 def _bus_tuple(raw: dict) -> tuple:
@@ -362,7 +365,7 @@ def parse_case(text: str) -> Network:
         bid = _int(toks[1], lineno, "bus id")
         shunt_records.append((bid, _num(toks[2], lineno, "g"), _num(toks[3], lineno, "b")))
 
-    base_mva, base_kv = _read_records(text, {"BUS": bus, "BRANCH": branch, "SHUNT": shunt})
+    (base_mva, base_kv), limits = _read_records(text, {"BUS": bus, "BRANCH": branch, "SHUNT": shunt})
     buses = _bus_tuple(raw_buses)  # the slack count is checked by Network
     n = len(buses)
 
@@ -382,19 +385,12 @@ def parse_case(text: str) -> Network:
             base_mva=base_mva,
             base_kv=base_kv,
             shunts=shunts,
+            case_limits=limits,
         )
     except TopologyError:
         raise
     except ValueError as exc:
         raise CaseFormatError(str(exc)) from None
-
-
-def read_case_limits(text: str) -> dict[str, float] | None:
-    """Extract the optional LIMITS record (constraint defaults) from a case."""
-    for lineno, toks in _tokens(text):
-        if toks[0].upper() == "LIMITS":
-            return _limits(toks, lineno)
-    return None
 
 
 def serialize_case(network: Network) -> str:
@@ -409,4 +405,6 @@ def serialize_case(network: Network) -> str:
         for bid, s in enumerate(network.shunts):
             if s != 0:
                 lines.append(f"SHUNT {bid} {s.real!r} {s.imag!r}")
+    if network.case_limits:
+        lines.append("LIMITS " + " ".join(repr(v) for v in network.case_limits.values()))
     return "\n".join(lines) + "\n"

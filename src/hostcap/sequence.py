@@ -153,6 +153,7 @@ class ThreePhaseNetwork:
     base_mva: float = 1.0
     base_kv: float = 1.0
     slack_vm: float = 1.0
+    case_limits: dict[str, float] | None = None  # the LIMITS record, as on Network
 
     def __post_init__(self) -> None:
         ids = [b.id for b in self.buses]
@@ -245,13 +246,14 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
             )
         )
 
-    base_mva, base_kv = _read_records(text, {"BUS3": bus3, "BRANCH3": branch3})
+    (base_mva, base_kv), limits = _read_records(text, {"BUS3": bus3, "BRANCH3": branch3})
     try:
         return ThreePhaseNetwork(
             buses=_bus_tuple(buses),
             branches=tuple(branches),
             base_mva=base_mva,
             base_kv=base_kv,
+            case_limits=limits,
         )
     except ValueError as exc:
         raise CaseFormatError(str(exc)) from None

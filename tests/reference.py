@@ -10,17 +10,28 @@ kept only so that tests can compare the two:
 * ``v_re``/``v_im``, ``quadratic_form_total`` and ``polar_form_total``: the
   per-branch quadratic form of the total active injection;
 * ``unbalance_currents``: the zero/negative-sequence sources from the dense
-  sequence cross blocks of ``sequence_ybus``.
+  sequence cross blocks of ``sequence_ybus``;
+* ``adjust_thermal``: the thermal stage checking one branch at a time and
+  scoring every candidate over the whole feeder.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from hostcap import oracle
-from hostcap.hccore import verify
+from hostcap.hccore import (
+    TOL,
+    AdjustmentError,
+    InfeasibleError,
+    _branch_term,
+    _curve_candidates,
+    finalize_solution,
+    verify,
+)
 from hostcap.netmodel import bfs_tree, build_ybus
-from hostcap.powerflow import _ybus_diagonal
+from hostcap.powerflow import VoltageState, _ybus_diagonal, bus_injections
 from hostcap.sequence import _load_currents, _phase_loads
 
 
@@ -126,3 +137,79 @@ def unbalance_currents(net3, seq, state) -> tuple[np.ndarray, np.ndarray]:
     i0 = -i_seq[:, 0] - seq.cross_0_from_1 @ v1
     i2 = -i_seq[:, 2] - seq.cross_2_from_1 @ v1
     return i0, i2
+
+
+def adjust_thermal(network, c, sol, paths=None):
+    """``hccore.adjust_thermal`` as one scalar current check per limited branch and clamp.
+
+    Every candidate is scored, a lone one too, each with a full-feeder
+    ``bus_injections``.  When ``paths`` (a ``Counter``) is given,
+    each clamp counts under ``"lone"`` (one candidate) or ``"multi"`` (two or
+    more, whose number adds to ``"scored"``), plus ``"scan"`` when the held
+    side scanned the box.
+    """
+    limited = [(bi, br) for bi, br in enumerate(network.branches) if br.thermal_limit is not None]
+    if not limited:
+        return sol
+    slack = network.slack_index
+    _, depths, _ = bfs_tree(network)
+    limited.sort(key=lambda item: (max(depths[item[1].from_bus], depths[item[1].to_bus]), item[0]))
+    mags = np.array(sol.state.magnitudes, dtype=float)
+    angles = np.array(sol.state.angles, dtype=float)
+    lam = network.lam
+    paths = Counter() if paths is None else paths
+
+    def score(pair, hold, move, cos_t):
+        trial = mags.copy()
+        trial[[hold, move]] = pair
+        obj = float(lam @ bus_injections(network, trial * np.exp(1j * angles)).real)
+        return (round(_branch_term(*pair, cos_t), 12), round(obj, 9), -pair[1])
+
+    def clamp_pairs(hold_vals, cos_t, kappa2):
+        return [(a, b) for a in hold_vals for b in _curve_candidates(a, cos_t, kappa2, c)]
+
+    changed_any = False
+    max_passes = max(16, 2 * network.n)
+    for _pass in range(max_passes + 1):
+        dirty = False
+        for bi, br in limited:
+            i, k = br.from_bus, br.to_bus
+            yabs = abs(br.series_admittance)
+            cap = br.thermal_limit
+            cur = yabs * abs(
+                mags[i] * np.exp(1j * angles[i]) - mags[k] * np.exp(1j * angles[k])
+            )
+            if cur <= cap * (1 + TOL["thermal"]):
+                continue
+            if _pass == max_passes:
+                raise AdjustmentError(
+                    f"thermal correction did not settle after {max_passes} passes"
+                )
+            dirty = True
+            changed_any = True
+            hold, move = (i, k) if depths[i] < depths[k] else (k, i)
+            kappa2 = (cap / yabs) ** 2
+            cos_t = math.cos(angles[i] - angles[k])
+
+            options = clamp_pairs([float(mags[hold])], cos_t, kappa2)
+            if not options and hold != slack:
+                paths["scan"] += 1
+                grid = [float(a) for a in np.linspace(c.v_min, c.v_max, 201)]
+                options = clamp_pairs(grid, cos_t, kappa2)
+            if not options:
+                raise InfeasibleError(
+                    f"thermal limit {cap} on branch {i}-{k} admits no voltage "
+                    "pair inside the magnitude box"
+                )
+            if len(options) == 1:
+                paths["lone"] += 1
+            else:
+                paths["multi"] += 1
+                paths["scored"] += len(options)
+            mags[[hold, move]] = max(options, key=lambda pair: score(pair, hold, move, cos_t))
+        if not dirty:
+            break
+    if not changed_any:
+        return sol
+    state = VoltageState(magnitudes=mags, angles=angles)
+    return finalize_solution(network, c, state, stage="thermal_adjusted")

@@ -246,6 +246,36 @@ def test_case3_limits_record_supplies_defaults_and_flags_override(tmp_path):
     assert rep["constraints"]["theta_max"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "4bus_thermal.case", "--cut", "1"],
+        ["oracle", "3bus.case", "--grid-steps", "5"],
+        ["unbalanced", "8bus_balanced.case3"],
+        ["screen", "3bus.case", "--step", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_reads_the_case_text_once(tmp_path, monkeypatch, capsys, argv):
+    import hostcap.cli
+    import hostcap.netmodel
+
+    reads = []
+    tokens = hostcap.netmodel._tokens
+
+    def counting(text):
+        reads.append(None)
+        return tokens(text)
+
+    monkeypatch.setattr(hostcap.netmodel, "_tokens", counting)
+    case = tmp_path / argv[1]
+    case.write_text("LIMITS 0.96 1.04\n" + (FIXTURE_DIR / argv[1]).read_text())
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "oracle" else []
+    assert hostcap.cli.main([argv[0], str(case), *argv[2:], *outdir]) == 0
+    assert len(reads) == 1
+    assert json.loads(capsys.readouterr().out)["constraints"]["v_max"] == 1.04
+
+
 def test_oracle_refuses_before_the_grid_search(tmp_path, monkeypatch, capsys):
     import hostcap.cli
 

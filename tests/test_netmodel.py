@@ -82,6 +82,8 @@ def test_parse_rejects_garbage():
             parse("BASE 1 1 7\n")
         with pytest.raises(CaseFormatError, match="LIMITS takes"):
             parse("BASE 1 1\nLIMITS 0.95\n")
+        with pytest.raises(CaseFormatError, match="line 3: LIMITS takes"):  # a later record is checked too
+            parse("BASE 1 1\nLIMITS 0.95 1.05\nLIMITS 0.95\n")
     # a branch to a missing bus is refused by both network types, with one message
     with pytest.raises(CaseFormatError, match="branch 0-9: unknown bus id"):
         parse_case("BASE 1 1\nBUS 0 slack 0 0 0\nBUS 1 gen 0 0 1\nBRANCH 0 9 0.1 0.1\n")
@@ -217,14 +219,14 @@ def test_serialize_round_trip_full_precision(name):
 
 
 def test_limits_record_round_trips_to_cli_defaults():
-    from hostcap.netmodel import read_case_limits
-
     text = THREE_BUS + "LIMITS 0.9 1.1 0.05 0.97\n"
-    parsed = read_case_limits(text)
+    parsed = parse_case(text).case_limits
     assert parsed == {"v_min": 0.9, "v_max": 1.1, "theta_max": 0.05, "eta": 0.97}
-    assert read_case_limits(THREE_BUS) is None
+    assert parse_case(THREE_BUS).case_limits is None
     net = parse_case(text)  # LIMITS is metadata; the network itself is unchanged
     assert net.n == 3
+    assert parse_case(serialize_case(net)).case_limits == parsed
+    assert parse_case(text + "LIMITS 0.8 1.2\n").case_limits == parsed  # the first record counts
 
 
 def test_shunt_round_trip():
