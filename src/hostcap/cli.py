@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -68,17 +69,9 @@ def _read_case(path: str) -> str:
 
 
 def _constraints(args, case_limits: dict[str, float] | None) -> ConstraintSet:
-    defaults = {"v_min": 0.95, "v_max": 1.05, "theta_max": 0.0, "eta": None}
-    defaults.update(case_limits or {})
-    if args.vmin is not None:
-        defaults["v_min"] = args.vmin
-    if args.vmax is not None:
-        defaults["v_max"] = args.vmax
-    if args.theta_max is not None:
-        defaults["theta_max"] = args.theta_max
-    if args.eta is not None:
-        defaults["eta"] = args.eta
-    return ConstraintSet(**defaults)
+    flags = {"v_min": args.vmin, "v_max": args.vmax, "theta_max": args.theta_max, "eta": args.eta}
+    chosen = {**(case_limits or {}), **{name: v for name, v in flags.items() if v is not None}}
+    return dataclasses.replace(ConstraintSet(), **chosen)
 
 
 def _digest(text: str) -> str:

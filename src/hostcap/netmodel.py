@@ -17,6 +17,12 @@ Case file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 All numbers are decimal; loads and impedances are per-unit on the declared
 base.  Bus ids must be contiguous integers starting at 0; by convention the
 slack is bus 0, but any single bus may be declared ``slack``.
+
+One reader serves this format and the three-phase ``.case3`` format of
+:mod:`hostcap.sequence`, which differ only in their BUS/BRANCH records' reals
+and in SHUNT, a ``.case``-only record: both share every record check and its
+error message, and both network types share one check of bus ids, slack and
+branch ends.
 """
 
 from __future__ import annotations
@@ -102,6 +108,27 @@ class Branch:
         return 1.0 / complex(self.r, self.x)
 
 
+def _checked_slack(buses, branches) -> int:
+    """The slack's index, once bus ids run 0..n-1, one bus is the slack and every branch end exists.
+
+    Shared by :class:`Network` and :class:`hostcap.sequence.ThreePhaseNetwork`.
+    """
+    n = len(buses)
+    if n == 0:
+        raise ValueError("network has no buses")
+    if [b.id for b in buses] != list(range(n)):
+        raise ValueError("bus ids must be contiguous integers starting at 0")
+    slacks = [b.id for b in buses if b.kind is BusKind.SLACK]
+    if len(slacks) == 0:
+        raise ValueError("missing slack bus")
+    if len(slacks) > 1:
+        raise ValueError(f"multiple slack buses: {slacks}")
+    for br in branches:
+        if not (0 <= br.from_bus < n and 0 <= br.to_bus < n):
+            raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
+    return slacks[0]
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """A frozen bus/branch network over per-branch arrays.
@@ -138,25 +165,12 @@ class Network:
     lam: np.ndarray = field(init=False, repr=False)  # per-bus objective weight
 
     def __post_init__(self) -> None:
-        n = len(self.buses)
-        if n == 0:
-            raise ValueError("network has no buses")
-        ids = [b.id for b in self.buses]
-        if ids != list(range(n)):
-            raise ValueError("bus ids must be contiguous integers starting at 0")
-        slacks = [b.id for b in self.buses if b.kind is BusKind.SLACK]
-        if len(slacks) == 0:
-            raise ValueError("missing slack bus")
-        if len(slacks) > 1:
-            raise ValueError(f"multiple slack buses: {slacks}")
+        n, root = len(self.buses), _checked_slack(self.buses, self.branches)
         if self.slack_vm <= 0:
             raise ValueError("slack voltage magnitude must be positive")
-        for br in self.branches:
-            if not (0 <= br.from_bus < n and 0 <= br.to_bus < n):
-                raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
         if self.shunts is not None and len(self.shunts) != n:
             raise ValueError("shunt vector length must equal bus count")
-        adj, root = self.adjacency(), slacks[0]
+        adj = self.adjacency()
         parents, depths, order = [-1] * n, [-1] * n, [root]
         depths[root] = 0
         for u in order:  # the list grows while it is walked: a breadth-first queue
@@ -239,9 +253,9 @@ def bfs_tree(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
 def _tokens(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, toks
 
 
 def _num(tok: str, lineno: int, what: str) -> float:
@@ -254,6 +268,18 @@ def _num(tok: str, lineno: int, what: str) -> float:
     return val
 
 
+def _reals(toks: list[str], lineno: int, labels) -> list[float]:
+    """The tokens as finite floats, converted in one pass; ``_num`` names a bad one."""
+    try:
+        vals = [*map(float, toks)]
+    except ValueError:
+        vals = [math.nan]  # _num below names the token
+    total = sum(vals)
+    if total - total == 0:  # an inf or nan anywhere makes the sum non-finite
+        return vals
+    return [_num(tok, lineno, what) for tok, what in zip(toks, labels)]
+
+
 def _int(tok: str, lineno: int, what: str) -> int:
     try:
         return int(tok)
@@ -261,61 +287,80 @@ def _int(tok: str, lineno: int, what: str) -> int:
         raise CaseFormatError(f"line {lineno}: {what} is not an integer: {tok!r}") from None
 
 
-def _kind(tok: str, lineno: int) -> BusKind:
-    try:
-        return BusKind(tok.lower())
-    except ValueError:
-        raise CaseFormatError(f"line {lineno}: unknown bus kind {tok!r}") from None
+_KINDS = {kind.value: kind for kind in BusKind}
 
 
-def _thermal_limit(tok: str, lineno: int) -> float:
-    """A branch record's optional thermal limit C, which must be positive."""
-    limit = _num(tok, lineno, "thermal limit")
-    if not limit > 0:
-        raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
-    return limit
+def _read_case(text: str, suffix: str, *, bus_reals, branch_reals, usage, bus, branch, network, extra=None):
+    """Read case text of either format into its network.
 
-
-def _limits(toks: list[str], lineno: int) -> dict[str, float]:
-    if len(toks) not in (3, 4, 5):
-        raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
-    vals = [_num(tok, lineno, "limit") for tok in toks[1:]]
-    return dict(zip(("v_min", "v_max", "theta_max", "eta"), vals))
-
-
-def _read_records(text: str, handlers: dict) -> tuple[tuple[float, float], dict[str, float] | None]:
-    """Read BASE and LIMITS, pass every other record to ``handlers[record](toks, lineno)``.
-
-    Shared by every case format; returns the (MVA, kV) base and the first
-    LIMITS record's values (None without one).
+    A bus record is ``BUS<suffix> <id> <kind> <load reals> <lambda>`` and a
+    branch record ``BRANCH<suffix> <from> <to> <impedance reals> [C]``.
+    ``bus_reals`` and ``branch_reals`` label each real in error messages,
+    ``usage`` is the (bus, branch) records' usage line.  ``bus(id, kind,
+    *reals)`` and ``branch(from, to, *reals, C)`` build the records and
+    ``network(buses, branches, base_mva, base_kv, limits)`` the network,
+    whose ValueErrors come back as :class:`CaseFormatError` (a
+    :class:`TopologyError` passes through).  BASE and the
+    first LIMITS record are read for every format; ``extra`` maps further
+    records to ``handler(toks, lineno)``.
     """
+    bus_rec, branch_rec = "BUS" + suffix, "BRANCH" + suffix
+    n_bus, n_branch = 3 + len(bus_reals), 3 + len(branch_reals)
+    handlers = extra or {}
+    raw_buses: dict = {}
+    branches: list = []
     base = limits = None
     for lineno, toks in _tokens(text):
         rec = toks[0].upper()
-        if rec == "BASE":
+        if rec == branch_rec:
+            if len(toks) != n_branch and len(toks) != n_branch + 1:
+                raise CaseFormatError(f"line {lineno}: {branch_rec} takes {usage[1]}")
+            limit = None
+            if len(toks) > n_branch:
+                limit = _num(toks[-1], lineno, "thermal limit")
+                if not limit > 0:
+                    raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
+            try:
+                ends = int(toks[1]), int(toks[2])
+            except ValueError:  # _int names the bad one
+                ends = _int(toks[1], lineno, "from bus"), _int(toks[2], lineno, "to bus")
+            branches.append(branch(*ends, *_reals(toks[3:n_branch], lineno, branch_reals), limit))
+        elif rec == bus_rec:
+            if len(toks) != n_bus:
+                raise CaseFormatError(f"line {lineno}: {bus_rec} takes {usage[0]}")
+            bid = _int(toks[1], lineno, "bus id")
+            kind = _KINDS.get(toks[2].lower())
+            if kind is None:
+                raise CaseFormatError(f"line {lineno}: unknown bus kind {toks[2]!r}")
+            if bid in raw_buses:
+                raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
+            raw_buses[bid] = bus(bid, kind, *_reals(toks[3:], lineno, bus_reals))
+        elif rec == "BASE":
             if len(toks) != 3:
                 raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
-            base = (_num(toks[1], lineno, "base MVA"), _num(toks[2], lineno, "base kV"))
+            base = _reals(toks[1:], lineno, ("base MVA", "base kV"))
         elif rec == "LIMITS":
-            found = _limits(toks, lineno)  # every record is checked; the first one counts
-            limits = limits or found
+            if len(toks) not in (3, 4, 5):
+                raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
+            found = dict(zip(("v_min", "v_max", "theta_max", "eta"), _reals(toks[1:], lineno, ("limit",) * 4)))
+            limits = limits or found  # every record is checked; the first one counts
         elif rec in handlers:
             handlers[rec](toks, lineno)
         else:
             raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
     if base is None:
         raise CaseFormatError("missing BASE header")
-    return base, limits
-
-
-def _bus_tuple(raw: dict) -> tuple:
-    """Parsed bus records in id order; ids must run contiguously from 0."""
-    if not raw:
+    if not raw_buses:
         raise CaseFormatError("no BUS records")
-    n = len(raw)
-    if sorted(raw) != list(range(n)):
+    n = len(raw_buses)
+    if sorted(raw_buses) != list(range(n)):
         raise CaseFormatError("bus ids must be contiguous integers starting at 0")
-    return tuple(raw[i] for i in range(n))
+    try:
+        return network(tuple(map(raw_buses.__getitem__, range(n))), tuple(branches), *base, limits)
+    except TopologyError:
+        raise
+    except ValueError as exc:
+        raise CaseFormatError(str(exc)) from None
 
 
 def parse_case(text: str) -> Network:
@@ -326,71 +371,36 @@ def parse_case(text: str) -> Network:
     (duplicate ids, missing/multiple slack), :class:`TopologyError` for a
     disconnected branch graph.
     """
-    raw_buses: dict[int, Bus] = {}
-    branches: list[Branch] = []
-    shunt_records: list[tuple[int, float, float]] = []
-
-    def bus(toks, lineno):
-        if len(toks) != 6:
-            raise CaseFormatError(f"line {lineno}: BUS takes <id> <kind> <Pload> <Qload> <lambda>")
-        bid = _int(toks[1], lineno, "bus id")
-        kind = _kind(toks[2], lineno)
-        if bid in raw_buses:
-            raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
-        raw_buses[bid] = Bus(
-            id=bid,
-            kind=kind,
-            load_p=_num(toks[3], lineno, "Pload"),
-            load_q=_num(toks[4], lineno, "Qload"),
-            lam=_num(toks[5], lineno, "lambda"),
-        )
-
-    def branch(toks, lineno):
-        if len(toks) not in (5, 6):
-            raise CaseFormatError(f"line {lineno}: BRANCH takes <from> <to> <r> <x> [C]")
-        limit = _thermal_limit(toks[5], lineno) if len(toks) == 6 else None
-        branches.append(
-            Branch(
-                from_bus=_int(toks[1], lineno, "from bus"),
-                to_bus=_int(toks[2], lineno, "to bus"),
-                r=_num(toks[3], lineno, "r"),
-                x=_num(toks[4], lineno, "x"),
-                thermal_limit=limit,
-            )
-        )
+    shunt_records: list[tuple[int, int, float, float]] = []
 
     def shunt(toks, lineno):
         if len(toks) != 4:
             raise CaseFormatError(f"line {lineno}: SHUNT takes <bus> <g> <b>")
         bid = _int(toks[1], lineno, "bus id")
-        shunt_records.append((bid, _num(toks[2], lineno, "g"), _num(toks[3], lineno, "b")))
+        shunt_records.append((lineno, bid, *_reals(toks[2:], lineno, ("g", "b"))))
 
-    (base_mva, base_kv), limits = _read_records(text, {"BUS": bus, "BRANCH": branch, "SHUNT": shunt})
-    buses = _bus_tuple(raw_buses)  # the slack count is checked by Network
-    n = len(buses)
+    def network(buses, branches, base_mva, base_kv, limits):
+        shunts = None
+        if shunt_records:
+            vec = [0j] * len(buses)
+            for lineno, bid, g, b in shunt_records:
+                if not 0 <= bid < len(buses):
+                    raise CaseFormatError(f"line {lineno}: SHUNT references unknown bus {bid}")
+                vec[bid] += complex(g, b)
+            shunts = tuple(vec)
+        return Network(buses, branches, base_mva, base_kv, shunts=shunts, case_limits=limits)
 
-    shunts = None
-    if shunt_records:
-        vec = [0j] * n
-        for bid, g, b in shunt_records:
-            if not 0 <= bid < n:
-                raise CaseFormatError(f"SHUNT references unknown bus {bid}")
-            vec[bid] += complex(g, b)
-        shunts = tuple(vec)
-
-    try:
-        return Network(
-            buses=buses,
-            branches=tuple(branches),
-            base_mva=base_mva,
-            base_kv=base_kv,
-            shunts=shunts,
-            case_limits=limits,
-        )
-    except TopologyError:
-        raise
-    except ValueError as exc:
-        raise CaseFormatError(str(exc)) from None
+    return _read_case(
+        text,
+        "",
+        bus_reals=("Pload", "Qload", "lambda"),
+        branch_reals=("r", "x"),
+        usage=("<id> <kind> <Pload> <Qload> <lambda>", "<from> <to> <r> <x> [C]"),
+        bus=Bus,
+        branch=Branch,
+        network=network,
+        extra={"SHUNT": shunt},
+    )
 
 
 def serialize_case(network: Network) -> str:

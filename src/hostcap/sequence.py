@@ -28,19 +28,25 @@ single-phase format (see :mod:`hostcap.netmodel`)::
     BUS3    <id> <kind> <Pa> <Qa> <Pb> <Qb> <Pc> <Qc> <lambda>
     BRANCH3 <from> <to> <18 reals: 3x3 impedance block, row-major,
              each entry r x> [C]
+
+:func:`parse_case3` reads them with the single-phase format's reader, so
+both formats share their record checks and error messages, and
+:class:`ThreePhaseNetwork` checks bus ids, slack and branch ends as
+:class:`~hostcap.netmodel.Network` does.  A BRANCH3 block itself is checked
+by the solve, not by the parser.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hccore import ConstraintSet, HCSolution, solve_hc, verify
-from .netmodel import Branch, Bus, BusKind, CaseFormatError, Network
-from .netmodel import _bus_tuple, _int, _kind, _num, _read_records, _thermal_limit  # the shared case tokenizer
+from .netmodel import Branch, Bus, BusKind, Network
+from .netmodel import _checked_slack, _read_case  # the one case reader and network check of both formats
 
 __all__ = [
     "ALPHA",
@@ -131,6 +137,8 @@ class ThreePhaseBus:
     load: PhaseVector = PhaseVector()  # complex power per phase
     lam: float = 1.0
 
+    __post_init__ = Bus.__post_init__  # the same non-negative lambda check
+
 
 @dataclass(frozen=True, eq=False)
 class ThreePhaseBranch:
@@ -154,25 +162,14 @@ class ThreePhaseNetwork:
     base_kv: float = 1.0
     slack_vm: float = 1.0
     case_limits: dict[str, float] | None = None  # the LIMITS record, as on Network
+    slack_index: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ids = [b.id for b in self.buses]
-        if ids != list(range(len(self.buses))):
-            raise ValueError("bus ids must be contiguous integers starting at 0")
-        slacks = [b.id for b in self.buses if b.kind is BusKind.SLACK]
-        if len(slacks) != 1:
-            raise ValueError("exactly one slack bus required")
-        for br in self.branches:
-            if not (0 <= br.from_bus < self.n and 0 <= br.to_bus < self.n):
-                raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
+        object.__setattr__(self, "slack_index", _checked_slack(self.buses, self.branches))
 
     @property
     def n(self) -> int:
         return len(self.buses)
-
-    @property
-    def slack_index(self) -> int:
-        return next(b.id for b in self.buses if b.kind is BusKind.SLACK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,58 +202,23 @@ class UnbalancedSolution:
 
 def parse_case3(text: str) -> ThreePhaseNetwork:
     """Parse the extended multi-phase case format (BUS3/BRANCH3 records)."""
-    buses: dict[int, ThreePhaseBus] = {}
-    branches: list[ThreePhaseBranch] = []
-
-    def bus3(toks, lineno):
-        if len(toks) != 10:
-            raise CaseFormatError(
-                f"line {lineno}: BUS3 takes <id> <kind> <Pa Qa Pb Qb Pc Qc> <lambda>"
-            )
-        bid = _int(toks[1], lineno, "bus id")
-        kind = _kind(toks[2], lineno)
-        vals = [_num(t, lineno, "phase load") for t in toks[3:9]]
-        if bid in buses:
-            raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
-        buses[bid] = ThreePhaseBus(
-            id=bid,
-            kind=kind,
-            load=PhaseVector(
-                a=complex(vals[0], vals[1]),
-                b=complex(vals[2], vals[3]),
-                c=complex(vals[4], vals[5]),
-            ),
-            lam=_num(toks[9], lineno, "lambda"),
-        )
-
-    def branch3(toks, lineno):
-        if len(toks) not in (21, 22):
-            raise CaseFormatError(
-                f"line {lineno}: BRANCH3 takes <from> <to> + 18 impedance reals [C]"
-            )
-        vals = [_num(t, lineno, "impedance") for t in toks[3:21]]
-        z = np.array(vals).view(complex).reshape(3, 3)  # (r, x) pairs are complex128's memory layout
-        limit = _thermal_limit(toks[21], lineno) if len(toks) == 22 else None
-        branches.append(
-            ThreePhaseBranch(
-                from_bus=_int(toks[1], lineno, "from bus"),
-                to_bus=_int(toks[2], lineno, "to bus"),
-                z=z,
-                thermal_limit=limit,
-            )
-        )
-
-    (base_mva, base_kv), limits = _read_records(text, {"BUS3": bus3, "BRANCH3": branch3})
-    try:
-        return ThreePhaseNetwork(
-            buses=_bus_tuple(buses),
-            branches=tuple(branches),
-            base_mva=base_mva,
-            base_kv=base_kv,
-            case_limits=limits,
-        )
-    except ValueError as exc:
-        raise CaseFormatError(str(exc)) from None
+    return _read_case(
+        text,
+        "3",
+        bus_reals=("phase load",) * 6 + ("lambda",),
+        branch_reals=("impedance",) * 18,
+        usage=("<id> <kind> <Pa Qa Pb Qb Pc Qc> <lambda>", "<from> <to> + 18 impedance reals [C]"),
+        bus=lambda bid, kind, pa, qa, pb, qb, pc, qc, lam: ThreePhaseBus(
+            bid, kind, PhaseVector(complex(pa, qa), complex(pb, qb), complex(pc, qc)), lam
+        ),
+        # (r, x) pairs are complex128's memory layout
+        branch=lambda from_bus, to_bus, *reals: ThreePhaseBranch(
+            from_bus, to_bus, np.array(reals[:18]).view(complex).reshape(3, 3), reals[18]
+        ),
+        network=lambda buses, branches, base_mva, base_kv, limits: ThreePhaseNetwork(
+            buses, branches, base_mva, base_kv, case_limits=limits
+        ),
+    )
 
 
 def _branch_admittances(branches) -> np.ndarray:
