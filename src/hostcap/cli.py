@@ -110,9 +110,9 @@ def _base_report(command: str, path: str, text: str, c: ConstraintSet) -> dict:
 
 
 def _write(out: str, args) -> None:
-    sys.stdout.write(out)
-    if args.output:
+    if args.output:  # first, so that a path that cannot be written leaves stdout empty
         Path(args.output).write_text(out)
+    sys.stdout.write(out)
 
 
 def _emit(report: dict, args) -> None:
@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CaseFormatError, TopologyError, GridCapError, ValueError) as exc:
+    except (CaseFormatError, TopologyError, GridCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DecouplingError as exc:

@@ -211,7 +211,7 @@ class Verdict:
         return self._parts[limit]
 
     def _full(self, limit: str, values: np.ndarray, fill) -> np.ndarray:
-        size = len(self.network.branches) if limit in ("theta", "thermal") else self.network.n
+        size = self.network.branch_from.size if limit in ("theta", "thermal") else self.network.n
         out = np.full((size,) + self.v.shape[1:], fill)
         out[self._part(limit)[0]] = values
         return np.moveaxis(out, 0, -1)
@@ -242,17 +242,17 @@ class Verdict:
         return tuple(_in_order(lambda k: self.margin(k) < TOL["binding"]))
 
     def _v_max(self):
-        free = np.flatnonzero(np.arange(self.network.n) != self.network.slack_index)
+        free = self.network.free
         return free, self.c.v_max - np.abs(self.v[free]), TOL["box"]
 
     def _v_min(self):
-        free = np.flatnonzero(np.arange(self.network.n) != self.network.slack_index)
+        free = self.network.free
         return free, np.abs(self.v[free]) - self.c.v_min, TOL["box"]
 
     def _theta(self):
         net = self.network
         dth = np.angle(self.v[net.branch_from] * np.conj(self.v[net.branch_to]))
-        return np.arange(len(net.branches)), self.c.theta_max - np.abs(dth), TOL["theta"]
+        return np.arange(net.branch_from.size), self.c.theta_max - np.abs(dth), TOL["theta"]
 
     def _thermal(self):
         net = self.network
@@ -266,8 +266,7 @@ class Verdict:
     def _pf(self):
         if self.c.eta is None:
             return np.array([], dtype=int), np.empty((0,) + self.v.shape[1:]), TOL["pf"]
-        gen = np.array([b.id for b in self.network.buses if b.kind is BusKind.GEN], dtype=int)
-        s = self.s
+        gen, s = self.network.gens, self.s
         if s is None:  # element-major, like self.v
             s = np.moveaxis(bus_injections(self.network, np.moveaxis(self.v, 0, -1)), -1, 0)
         return (gen, *_pf_margin(s[gen], self.c.eta))
@@ -290,9 +289,8 @@ def _check_conductance_signs(network: Network) -> None:
     # the pattern argument needs -G_ik >= 0 on every branch
     bad = np.flatnonzero(network.branch_y.real < -1e-12)
     if bad.size:
-        br = network.branches[bad[0]]
         raise ValueError(
-            f"branch {br.from_bus}-{br.to_bus} has negative series conductance; "
+            f"branch {network.branch_from[bad[0]]}-{network.branch_to[bad[0]]} has negative series conductance; "
             "the pattern construction does not apply"
         )
 
@@ -487,42 +485,34 @@ def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> 
     """
     if c.eta is None:
         return sol
-    gens = [b.id for b in network.buses if b.kind is BusKind.GEN]
-    if not gens:
-        return sol
+    gens = network.gens.tolist()
 
-    def violations(inj: InjectionProfile, exclude: set[int]) -> list[int]:
+    def violations(inj: InjectionProfile, exclude: dict) -> list[int]:
         return [
             i for i in gens
             if i not in exclude and abs(inj.q[i]) > pf_q_bounds(inj.p[i], c.eta)[1] + 1e-9
         ]
 
-    first = violations(sol.injections, set())
-    if not first:
-        return sol
-
     converted: dict[int, tuple[float, float]] = {}
     state = sol.state
     inj = sol.injections
-    for _round in range(network.n + 1):
-        newly = violations(inj, set(converted))
-        if not newly and converted:
-            break
+    # each round converts at least one generator, so the rounds end
+    while newly := violations(inj, converted):
         for i in newly:
             p_target = float(inj.p[i])
             q_edge = math.copysign(pf_q_bounds(p_target, c.eta)[1], inj.q[i])
             converted[i] = (p_target, q_edge)
         setpoints = []
-        for b in network.buses:
-            if b.id in converted:
-                p_t, q_t = converted[b.id]
+        for b in range(network.n):
+            if b in converted:
+                p_t, q_t = converted[b]
                 setpoints.append(BusSetpoint(kind=BusKind.LOAD, p=p_t, q=q_t))
             else:
                 setpoints.append(
                     BusSetpoint(
                         kind=BusKind.SLACK,
-                        vm=float(state.magnitudes[b.id]),
-                        va=float(state.angles[b.id]),
+                        vm=float(state.magnitudes[b]),
+                        va=float(state.angles[b]),
                     )
                 )
         try:
@@ -540,8 +530,8 @@ def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> 
         except PowerFlowError as exc:
             raise AdjustmentError(f"power-factor re-solve failed: {exc}") from exc
         inj = evaluate_injections(network, state)
-    else:
-        raise AdjustmentError("power-factor correction did not settle")
+    if not converted:
+        return sol
 
     verdict = verify(network, c, state.phasors, inj.s)
     bad = np.flatnonzero(verdict.violated("v_max") | verdict.violated("v_min")).tolist()

@@ -1,10 +1,11 @@
 """Radial feeder model: case-file parsing, admittance assembly, BFS tree.
 
-Buses and branches are plain frozen records; the :class:`Network` bundles
-them with per-branch arrays and the BFS tree from the slack.  The dense
-admittance matrix (:func:`build_ybus`) is not part of it: only tests build it,
-as the reference of the branch-wise evaluation.  All quantities are per-unit
-on the case file's system base.
+Buses and branches are plain frozen records.  The :class:`Network` derives
+read-only arrays from them once (branch ends, child ends, admittances and
+limits, the BFS tree from the slack, the non-slack and generator buses), and
+the solver core reads only those.  Only tests build the dense admittance
+matrix (:func:`build_ybus`), as the reference of the branch-wise evaluation.
+All quantities are per-unit on the case file's system base.
 
 Case file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
@@ -21,8 +22,8 @@ slack is bus 0, but any single bus may be declared ``slack``.
 One reader serves this format and the three-phase ``.case3`` format of
 :mod:`hostcap.sequence`, which differ only in their BUS/BRANCH records' reals
 and in SHUNT, a ``.case``-only record: both share every record check and its
-error message, and both network types share one check of bus ids, slack and
-branch ends.
+error message, which names the record's line, and both network types share
+one check of bus ids, slack and branch ends.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ class Branch:
         return 1.0 / complex(self.r, self.x)
 
 
-def _checked_slack(buses, branches) -> int:
-    """The slack's index, once bus ids run 0..n-1, one bus is the slack and every branch end exists.
+def _checked_ends(buses, branches) -> tuple[int, np.ndarray, np.ndarray]:
+    """The slack's index and branch ends, once ids run 0..n-1, one bus is the slack and every end exists.
 
     Shared by :class:`Network` and :class:`hostcap.sequence.ThreePhaseNetwork`.
     """
@@ -118,15 +119,25 @@ def _checked_slack(buses, branches) -> int:
         raise ValueError("network has no buses")
     if [b.id for b in buses] != list(range(n)):
         raise ValueError("bus ids must be contiguous integers starting at 0")
-    slacks = [b.id for b in buses if b.kind is BusKind.SLACK]
+    slack = BusKind.SLACK  # bound once: an Enum member lookup costs more than the test
+    slacks = [b.id for b in buses if b.kind is slack]
     if len(slacks) == 0:
         raise ValueError("missing slack bus")
     if len(slacks) > 1:
         raise ValueError(f"multiple slack buses: {slacks}")
-    for br in branches:
-        if not (0 <= br.from_bus < n and 0 <= br.to_bus < n):
-            raise ValueError(f"branch {br.from_bus}-{br.to_bus}: unknown bus id")
-    return slacks[0]
+    frm = np.array([br.from_bus for br in branches], dtype=int)
+    to = np.array([br.to_bus for br in branches], dtype=int)
+    bad = np.flatnonzero((np.minimum(frm, to) < 0) | (np.maximum(frm, to) >= n))
+    if bad.size:
+        raise ValueError(f"branch {frm[bad[0]]}-{to[bad[0]]}: unknown bus id")
+    return slacks[0], frm, to
+
+
+def _set_readonly(obj, **arrays: np.ndarray) -> None:
+    """Set each array, made read-only, on the frozen dataclass ``obj``."""
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +148,12 @@ class Network:
     one bus is the slack, that branch endpoints exist and that the branch
     graph is connected.  Radiality (exactly n-1 branches) is *not* required
     here; operations that need a tree check it themselves.  Construction
-    derives, once, the per-branch arrays (endpoints, series admittance,
-    thermal limit), the breadth-first walk from the slack (``parents``,
-    ``depths``, ``order``; see :func:`bfs_tree`), the slack index and the
-    objective weights ``lam``.  The solver and the grid oracle run on these
-    alone.  ``case_limits`` holds the case file's LIMITS record (None
-    without one): constraint defaults for the CLI, unused by the solver.
+    derives, once, the per-branch arrays (endpoints, child end, series
+    admittance, thermal limit), the breadth-first walk from the slack
+    (``parents``, ``depths``, ``order``; see :func:`bfs_tree`), the slack
+    index, the ``free`` (non-slack) and ``gens`` buses and the weights ``lam``.
+    The solver and the grid oracle run on these alone.  ``case_limits`` holds
+    the LIMITS record (None without one): CLI defaults, unused by the solver.
     """
 
     buses: tuple[Bus, ...]
@@ -155,6 +166,7 @@ class Network:
     # per-branch arrays, in branch order; branch_limit is +inf where unlimited
     branch_from: np.ndarray = field(init=False, repr=False)
     branch_to: np.ndarray = field(init=False, repr=False)
+    branch_child: np.ndarray = field(init=False, repr=False)  # on a tree, the end farther from the slack
     branch_y: np.ndarray = field(init=False, repr=False)
     branch_limit: np.ndarray = field(init=False, repr=False)
     # breadth-first walk from the slack over adjacency(): parent (-1 at the root), depth, visit order
@@ -162,10 +174,12 @@ class Network:
     depths: np.ndarray = field(init=False, repr=False)
     order: np.ndarray = field(init=False, repr=False)
     slack_index: int = field(init=False)
+    free: np.ndarray = field(init=False, repr=False)  # ascending ids of the non-slack buses
+    gens: np.ndarray = field(init=False, repr=False)  # ascending ids of the generator buses
     lam: np.ndarray = field(init=False, repr=False)  # per-bus objective weight
 
     def __post_init__(self) -> None:
-        n, root = len(self.buses), _checked_slack(self.buses, self.branches)
+        n, (root, frm, to) = len(self.buses), _checked_ends(self.buses, self.branches)
         if self.slack_vm <= 0:
             raise ValueError("slack voltage magnitude must be positive")
         if self.shunts is not None and len(self.shunts) != n:
@@ -183,19 +197,22 @@ class Network:
             raise TopologyError("non-connected graph")
         object.__setattr__(self, "slack_index", root)
         limits = [np.inf if br.thermal_limit is None else br.thermal_limit for br in self.branches]
-        for name, values, dtype in (
-            ("branch_from", [br.from_bus for br in self.branches], int),
-            ("branch_to", [br.to_bus for br in self.branches], int),
-            ("branch_y", [br.series_admittance for br in self.branches], complex),
-            ("branch_limit", limits, float),
-            ("parents", parents, int),
-            ("depths", depths, int),
-            ("order", order, int),
-            ("lam", [b.lam for b in self.buses], float),
-        ):
-            arr = np.array(values, dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        parents = np.array(parents, dtype=int)
+        gen = BusKind.GEN  # bound once, as in _checked_ends
+        _set_readonly(
+            self,
+            branch_from=frm,
+            branch_to=to,
+            branch_child=np.where(parents[to] == frm, to, frm),
+            branch_y=np.array([br.series_admittance for br in self.branches], dtype=complex),
+            branch_limit=np.array(limits, dtype=float),
+            parents=parents,
+            depths=np.array(depths, dtype=int),
+            order=np.array(order, dtype=int),
+            free=np.flatnonzero(np.arange(n) != root),
+            gens=np.array([b.id for b in self.buses if b.kind is gen], dtype=int),
+            lam=np.array([b.lam for b in self.buses], dtype=float),
+        )
 
     @property
     def n(self) -> int:
@@ -298,9 +315,9 @@ def _read_case(text: str, suffix: str, *, bus_reals, branch_reals, usage, bus, b
     ``bus_reals`` and ``branch_reals`` label each real in error messages,
     ``usage`` is the (bus, branch) records' usage line.  ``bus(id, kind,
     *reals)`` and ``branch(from, to, *reals, C)`` build the records and
-    ``network(buses, branches, base_mva, base_kv, limits)`` the network,
-    whose ValueErrors come back as :class:`CaseFormatError` (a
-    :class:`TopologyError` passes through).  BASE and the
+    ``network(buses, branches, base_mva, base_kv, limits)`` the network; their
+    ValueErrors come back as :class:`CaseFormatError`, a record's naming its
+    line (a :class:`TopologyError` passes through).  BASE and the
     first LIMITS record are read for every format; ``extra`` maps further
     records to ``handler(toks, lineno)``.
     """
@@ -312,42 +329,47 @@ def _read_case(text: str, suffix: str, *, bus_reals, branch_reals, usage, bus, b
     base = limits = None
     for lineno, toks in _tokens(text):
         rec = toks[0].upper()
-        if rec == branch_rec:
-            if len(toks) != n_branch and len(toks) != n_branch + 1:
-                raise CaseFormatError(f"line {lineno}: {branch_rec} takes {usage[1]}")
-            limit = None
-            if len(toks) > n_branch:
-                limit = _num(toks[-1], lineno, "thermal limit")
-                if not limit > 0:
-                    raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
-            try:
-                ends = int(toks[1]), int(toks[2])
-            except ValueError:  # _int names the bad one
-                ends = _int(toks[1], lineno, "from bus"), _int(toks[2], lineno, "to bus")
-            branches.append(branch(*ends, *_reals(toks[3:n_branch], lineno, branch_reals), limit))
-        elif rec == bus_rec:
-            if len(toks) != n_bus:
-                raise CaseFormatError(f"line {lineno}: {bus_rec} takes {usage[0]}")
-            bid = _int(toks[1], lineno, "bus id")
-            kind = _KINDS.get(toks[2].lower())
-            if kind is None:
-                raise CaseFormatError(f"line {lineno}: unknown bus kind {toks[2]!r}")
-            if bid in raw_buses:
-                raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
-            raw_buses[bid] = bus(bid, kind, *_reals(toks[3:], lineno, bus_reals))
-        elif rec == "BASE":
-            if len(toks) != 3:
-                raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
-            base = _reals(toks[1:], lineno, ("base MVA", "base kV"))
-        elif rec == "LIMITS":
-            if len(toks) not in (3, 4, 5):
-                raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
-            found = dict(zip(("v_min", "v_max", "theta_max", "eta"), _reals(toks[1:], lineno, ("limit",) * 4)))
-            limits = limits or found  # every record is checked; the first one counts
-        elif rec in handlers:
-            handlers[rec](toks, lineno)
-        else:
-            raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
+        try:
+            if rec == branch_rec:
+                if len(toks) != n_branch and len(toks) != n_branch + 1:
+                    raise CaseFormatError(f"line {lineno}: {branch_rec} takes {usage[1]}")
+                limit = None
+                if len(toks) > n_branch:
+                    limit = _num(toks[-1], lineno, "thermal limit")
+                    if not limit > 0:
+                        raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
+                try:
+                    ends = int(toks[1]), int(toks[2])
+                except ValueError:  # _int names the bad one
+                    ends = _int(toks[1], lineno, "from bus"), _int(toks[2], lineno, "to bus")
+                branches.append(branch(*ends, *_reals(toks[3:n_branch], lineno, branch_reals), limit))
+            elif rec == bus_rec:
+                if len(toks) != n_bus:
+                    raise CaseFormatError(f"line {lineno}: {bus_rec} takes {usage[0]}")
+                bid = _int(toks[1], lineno, "bus id")
+                kind = _KINDS.get(toks[2].lower())
+                if kind is None:
+                    raise CaseFormatError(f"line {lineno}: unknown bus kind {toks[2]!r}")
+                if bid in raw_buses:
+                    raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
+                raw_buses[bid] = bus(bid, kind, *_reals(toks[3:], lineno, bus_reals))
+            elif rec == "BASE":
+                if len(toks) != 3:
+                    raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
+                base = _reals(toks[1:], lineno, ("base MVA", "base kV"))
+            elif rec == "LIMITS":
+                if len(toks) not in (3, 4, 5):
+                    raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
+                found = dict(zip(("v_min", "v_max", "theta_max", "eta"), _reals(toks[1:], lineno, ("limit",) * 4)))
+                limits = limits or found  # every record is checked; the first one counts
+            elif rec in handlers:
+                handlers[rec](toks, lineno)
+            else:
+                raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
+        except CaseFormatError:
+            raise
+        except ValueError as exc:  # a record's own check (Bus, Branch, ...) names no line
+            raise CaseFormatError(f"line {lineno}: {exc}") from None
     if base is None:
         raise CaseFormatError("missing BASE header")
     if not raw_buses:

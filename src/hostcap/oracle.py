@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 CHUNK_ROWS = 200_000
+MAX_STEPS = 100_000  # ramp steps per bus in incremental_screening
 
 
 class GridCapError(RuntimeError):
@@ -132,7 +133,7 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     branch's delta to its parent's angle.
     """
     parents, _, order = bfs_tree(network)
-    free = [i for i in range(network.n) if i != network.slack_index]
+    free = network.free.tolist()
     pos = {b: j for j, b in enumerate(free)}
     nf = len(free)
     mag_axis, ang_axis = _axes(c, g)
@@ -211,12 +212,10 @@ def _grid_tables(network: Network, c: ConstraintSet, pos: dict, mag_axis, ang_ax
 
     conj_diag = np.conj(_ybus_diagonal(network))
     const = float(lam[slack] * network.slack_vm**2 * conj_diag[slack].real)
-    i, k = network.branch_from, network.branch_to
-    child = np.where(parents[k] == i, k, i)
-    gens = [b for b in pos if network.buses[b].kind is BusKind.GEN] if c.eta is not None else []
+    gens = network.gens.tolist() if c.eta is not None else []
     injections: dict[int, list[np.ndarray]] = {b: [] for b in gens}
     obj_tables = []
-    for bi, cb in enumerate(child.tolist()):
+    for bi, cb in enumerate(network.branch_child.tolist()):
         p, y = int(parents[cb]), network.branch_y[bi]
         vp = mag(p)
         vc = mag(cb) + 0j if rot is None else mag(cb) * along(rot, nf + pos[cb])
@@ -276,14 +275,12 @@ def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
     gdiag = np.abs(_ybus_diagonal(network).real)
     l_theta = vm**2 * (lam * off + lam_off)
     l_v = lam * vm * (2 * gdiag + off) + vm * lam_off
-    free = np.arange(n) != network.slack_index
-    return float(l_v[free].sum()) * h_v / 2 + float(l_theta @ depths) * h_t / 2
+    return float(l_v[network.free].sum()) * h_v / 2 + float(l_theta @ depths) * h_t / 2
 
 
 def pv_curve_surface(network: Network, c: ConstraintSet, g: GridSpec) -> SurfaceResult:
     """Total-power surface over the two free-bus magnitudes (zero angles)."""
-    slack = network.slack_index
-    free = [i for i in range(network.n) if i != slack]
+    slack, free = network.slack_index, network.free.tolist()
     if len(free) != 2:
         raise ValueError(f"surface sampling needs exactly two free buses, got {len(free)}")
     mag_axis, _ = _axes(c, g)
@@ -313,7 +310,6 @@ def incremental_screening(
     network: Network,
     c: ConstraintSet,
     step: float,
-    max_steps: int = 100_000,
     candidates: list[int] | None = None,
 ) -> list[ScreeningRow]:
     """Per-bus hosting capacity by ramping one injection until violation.
@@ -324,10 +320,10 @@ def incremental_screening(
     value is the last feasible added generation, zero if the base case
     already violates.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:  # false for NaN too
+        raise ValueError("step must be positive and finite")
     if candidates is None:
-        candidates = [b.id for b in network.buses if b.kind is BusKind.GEN]
+        candidates = network.gens.tolist()
     base = base_setpoints(network)
     rows: list[ScreeningRow] = []
     for cand in candidates:
@@ -335,7 +331,7 @@ def incremental_screening(
         status = "cap"
         k = 0
         last_state = None
-        while k <= max_steps:
+        while k <= MAX_STEPS:
             spec[cand] = BusSetpoint(
                 kind=BusKind.LOAD,
                 p=-network.buses[cand].load_p + k * step,

@@ -73,8 +73,7 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
     below = [0] * network.n  # the subsystem of the branches from each bus to its children
     for b in order[1:]:  # root-outward, so a parent is settled before its children
         below[b] = rooted.get(b, below[parents[b]])
-    i, k = network.branch_from, network.branch_to
-    child = np.where(parents[k] == i, k, i)
+    child = network.branch_child
     owner = np.asarray(below)[parents[child]]
     subsystems = []
     for s, root in enumerate(roots):

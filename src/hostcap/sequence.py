@@ -14,10 +14,11 @@ the decoupled sequence model handles them as follows:
 * the three sequence voltages recombine into per-phase voltages, which are
   checked against the magnitude box per phase.
 
-The solver works on per-branch 3x3 blocks only.  The dense 3n x 3n phase
-matrix (:func:`build_ybus3`), its sequence transform (:func:`sequence_ybus`)
-and the dense nodal solve are kept as the references that tests pin the
-tree path against.
+The solver works on per-branch 3x3 blocks and on the arrays that
+:class:`ThreePhaseNetwork` derives once (``branch_from``, ``branch_to``,
+``loads``).  The dense 3n x 3n phase matrix (:func:`build_ybus3`), its
+sequence transform (:func:`sequence_ybus`) and the dense nodal solve are the
+references that tests pin the tree path against.
 
 Cross-sequence coupling (untransposed lines) is tolerated up to a relative
 threshold; beyond it the decoupled model is refused rather than trusted.
@@ -46,7 +47,7 @@ import numpy as np
 
 from .hccore import ConstraintSet, HCSolution, solve_hc, verify
 from .netmodel import Branch, Bus, BusKind, Network
-from .netmodel import _checked_slack, _read_case  # the one case reader and network check of both formats
+from .netmodel import _checked_ends, _read_case, _set_readonly  # one reader and network check for both formats
 
 __all__ = [
     "ALPHA",
@@ -163,9 +164,14 @@ class ThreePhaseNetwork:
     slack_vm: float = 1.0
     case_limits: dict[str, float] | None = None  # the LIMITS record, as on Network
     slack_index: int = field(init=False)
+    branch_from: np.ndarray = field(init=False, repr=False)  # per branch, in branch order
+    branch_to: np.ndarray = field(init=False, repr=False)
+    loads: np.ndarray = field(init=False, repr=False)  # (n, 3) complex power per bus and phase
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slack_index", _checked_slack(self.buses, self.branches))
+        root, frm, to = _checked_ends(self.buses, self.branches)
+        object.__setattr__(self, "slack_index", root)
+        _set_readonly(self, branch_from=frm, branch_to=to, loads=_phase_loads(self))
 
     @property
     def n(self) -> int:
@@ -292,10 +298,8 @@ def build_ybus3(net3: ThreePhaseNetwork) -> np.ndarray:
     The dense reference of the solver's per-branch blocks (144 n^2 bytes);
     the solver never builds it.
     """
-    n = net3.n
+    n, i, k = net3.n, net3.branch_from, net3.branch_to
     yb = _branch_admittances(net3.branches)
-    i = np.array([br.from_bus for br in net3.branches], dtype=int)
-    k = np.array([br.to_bus for br in net3.branches], dtype=int)
     y = np.zeros((n, 3, n, 3), dtype=complex)  # [i, phase_row, k, phase_col]: reshapes to a view
     # np.add.at adds in index order, so every block sums its branches in branch order
     rows, cols = np.column_stack([i, k, i, k]).ravel(), np.column_stack([k, i, i, k]).ravel()
@@ -330,14 +334,14 @@ def sequence_ybus(y_abc: np.ndarray) -> SequenceSystem:
     )
 
 
-def _positive_network(net3: ThreePhaseNetwork, y1: np.ndarray, s_ph: np.ndarray) -> Network:
-    """The single-phase network of branch admittances ``y1`` and per-phase average loads of ``s_ph``."""
+def _positive_network(net3: ThreePhaseNetwork, y1: np.ndarray) -> Network:
+    """The single-phase network of branch admittances ``y1`` and the per-phase average loads of ``net3``."""
     dead = np.flatnonzero(y1 == 0)
     if dead.size:
         br = net3.branches[dead[0]]
         raise ValueError(f"branch {br.from_bus}-{br.to_bus}: no positive-sequence path")
     z1 = 1.0 / y1
-    s_avg = s_ph.mean(axis=1)
+    s_avg = net3.loads.mean(axis=1)
     branches = tuple(
         Branch(from_bus=br.from_bus, to_bus=br.to_bus, r=r, x=x, thermal_limit=br.thermal_limit)
         for br, r, x in zip(net3.branches, z1.real.tolist(), z1.imag.tolist())
@@ -362,7 +366,7 @@ def positive_sequence_network(net3: ThreePhaseNetwork) -> Network:
     transformed 3x3 block; per-bus load is the per-phase average.
     """
     y1 = (TRANSFORM_INV @ _branch_admittances(net3.branches) @ TRANSFORM)[:, 1, 1]
-    return _positive_network(net3, y1, _phase_loads(net3))
+    return _positive_network(net3, y1)
 
 
 def _load_currents(s_ph: np.ndarray, v1: np.ndarray) -> np.ndarray:
@@ -390,7 +394,7 @@ def detect_scenario(net3: ThreePhaseNetwork, coupling: float) -> str:
     blocks (``coupling`` above round-off) need the sequence line model;
     otherwise the plain single-phase model applies.
     """
-    loads = _phase_loads(net3)
+    loads = net3.loads
     spread = float(np.max(np.abs(loads - loads.mean(axis=1, keepdims=True)))) if loads.size else 0.0
     if spread > 1e-9:
         return "sequence load current"
@@ -459,10 +463,8 @@ def solve_unbalanced_hc(
     tree, recombines to phase voltages and checks the magnitude box per
     phase.  Works on per-branch 3x3 blocks: time and memory are O(n).
     """
-    n = net3.n
+    n, fb, tb = net3.n, net3.branch_from, net3.branch_to
     ys = _branch_admittances(net3.branches)
-    fb = np.array([br.from_bus for br in net3.branches], dtype=int)
-    tb = np.array([br.to_bus for br in net3.branches], dtype=int)
     coupling = _block_coupling(fb, tb, ys, n)
     if coupling > coupling_threshold:
         raise DecouplingError(
@@ -472,8 +474,7 @@ def solve_unbalanced_hc(
         )
     method = detect_scenario(net3, coupling)
     y012 = TRANSFORM_INV @ ys @ TRANSFORM  # [branch, m_row, m_col]: each branch's sequence admittances
-    s_ph = _phase_loads(net3)
-    pos_net = _positive_network(net3, y012[:, 1, 1], s_ph)
+    pos_net = _positive_network(net3, y012[:, 1, 1])
     positive = solve_hc(pos_net, c)  # enforces radiality, so pos_net's BFS walk is a spanning tree
     v1 = positive.state.phasors
 
@@ -482,14 +483,12 @@ def solve_unbalanced_hc(
     cross = np.zeros((n, 2), dtype=complex)
     np.add.at(cross, fb, flows)
     np.add.at(cross, tb, -flows)
-    i_seq = _load_currents(s_ph, v1)
-    parents = pos_net.parents
-    child = np.where(parents[tb] == fb, tb, fb)  # the end of each branch farther from the slack
+    i_seq = _load_currents(net3.loads, v1)
     y_up = np.zeros(n, dtype=complex)
     sweeps = []
     for col, (m, label) in enumerate(((0, "zero"), (2, "negative"))):
-        y_up[child] = y012[:, m, m]
-        sweeps.append(_tree_sweep(parents, pos_net.order, y_up, -i_seq[:, m] - cross[:, col], label))
+        y_up[pos_net.branch_child] = y012[:, m, m]
+        sweeps.append(_tree_sweep(pos_net.parents, pos_net.order, y_up, -i_seq[:, m] - cross[:, col], label))
     v0, v2 = sweeps
     v_abc = np.stack([v0, v1, v2], axis=1) @ TRANSFORM.T
     # one row of bus phasors per phase; only the box family applies per phase

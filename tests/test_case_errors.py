@@ -79,8 +79,8 @@ ROWS = [
     ("bus-lambda-inf", "case", {3: "BUS 1 gen 0.1 0.05 inf"}, FMT, "line 3: lambda must be finite: 'inf'"),
     ("bus3-inf", "case3", {3: "BUS3 1 gen 0.1 0.05 0.1 0.05 -inf 0.05 1"}, FMT, "line 3: phase load must be finite: '-inf'"),
     ("bus3-lambda-nan", "case3", {3: f"BUS3 1 gen {S3} nan"}, FMT, "line 3: lambda must be finite: 'nan'"),
-    ("bus-negative-lambda", "case", {3: "BUS 1 gen 0.1 0.05 -1"}, VAL, "bus 1: lambda must be non-negative"),
-    ("bus3-negative-lambda", "case3", {3: f"BUS3 1 gen {S3} -1"}, VAL, "bus 1: lambda must be non-negative"),
+    ("bus-negative-lambda", "case", {3: "BUS 1 gen 0.1 0.05 -1"}, FMT, "line 3: bus 1: lambda must be non-negative"),
+    ("bus3-negative-lambda", "case3", {3: f"BUS3 1 gen {S3} -1"}, FMT, "line 3: bus 1: lambda must be non-negative"),
     # BRANCH / BRANCH3
     ("branch-arity-short", "case", {5: "BRANCH 0 1 0.01"}, FMT, BRANCH_USAGE),
     ("branch-arity-long", "case", {5: "BRANCH 0 1 0.01 0.02 1.5 7"}, FMT, BRANCH_USAGE),
@@ -96,9 +96,9 @@ ROWS = [
     ("branch3-limit-inf", "case3", {5: f"BRANCH3 0 1 {Z} inf"}, FMT, "line 5: thermal limit must be finite: 'inf'"),
     ("branch-limit-zero", "case", {5: "BRANCH 0 1 0.01 0.02 0"}, FMT, "line 5: thermal limit must be positive"),
     ("branch3-limit-negative", "case3", {5: f"BRANCH3 0 1 {Z} -1"}, FMT, "line 5: thermal limit must be positive"),
-    ("branch-self-loop", "case", {5: "BRANCH 1 1 0.01 0.02 1.5"}, VAL, "branch 1-1: self loop"),
-    ("branch-negative-r", "case", {5: "BRANCH 0 1 -0.01 0.02 1.5"}, VAL, "branch 0-1: negative resistance"),
-    ("branch-zero-impedance", "case", {5: "BRANCH 0 1 0 0 1.5"}, VAL, "branch 0-1: zero-impedance branch"),
+    ("branch-self-loop", "case", {5: "BRANCH 1 1 0.01 0.02 1.5"}, FMT, "line 5: branch 1-1: self loop"),
+    ("branch-negative-r", "case", {5: "BRANCH 0 1 -0.01 0.02 1.5"}, FMT, "line 5: branch 0-1: negative resistance"),
+    ("branch-zero-impedance", "case", {5: "BRANCH 0 1 0 0 1.5"}, FMT, "line 5: branch 0-1: zero-impedance branch"),
     # a BRANCH3 block is checked by the solve, not by the parser
     ("branch3-self-loop", "case3", {5: f"BRANCH3 1 1 {Z} 1.5"}, None, None),
     ("branch3-negative-r", "case3", {5: f"BRANCH3 0 1 {Z.replace('0.03', '-0.03')} 1.5"}, None, None),
@@ -160,4 +160,4 @@ def test_negative_lambda_of_a_case3_is_an_input_error(tmp_path, capsys):
     case = tmp_path / "neg.case3"
     case.write_text(edited(lines, {3: f"BUS3 1 gen {S3} -1"}))
     assert main(["unbalanced", str(case)]) == 1
-    assert capsys.readouterr().err == "error: bus 1: lambda must be non-negative\n"
+    assert capsys.readouterr().err == "error: line 3: bus 1: lambda must be non-negative\n"

@@ -344,3 +344,35 @@ def test_non_finite_input_is_an_input_error(tmp_path, capsys, command, text, fla
     code = hostcap.cli.main([command, str(case), *flags])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_screen_refuses_a_non_finite_step(capsys, step):
+    import hostcap.cli
+
+    code = hostcap.cli.main(["screen", "--step", step, str(FIXTURE_DIR / "3bus.case")])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: step must be positive and finite\n")
+
+
+def test_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    import hostcap.cli
+
+    out = tmp_path / "missing" / "r.json"
+    code = hostcap.cli.main(["solve", str(FIXTURE_DIR / "3bus.case"), "--output", str(out)])
+    assert code == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and str(out) in stderr and stderr.count("\n") == 1
+
+
+def test_outdir_below_a_regular_file_is_an_input_error(tmp_path, capsys):
+    import hostcap.cli
+
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / "figures"
+    code = hostcap.cli.main(["oracle", str(FIXTURE_DIR / "3bus.case"), "--outdir", str(outdir)])
+    assert code == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and str(outdir) in stderr and stderr.count("\n") == 1

@@ -141,6 +141,14 @@ def test_screening_rejects_bad_step(net3):
         incremental_screening(net3, ConstraintSet(), step=0.0)
 
 
+def test_screening_stops_at_the_step_cap(net3, monkeypatch):
+    import hostcap.oracle
+
+    monkeypatch.setattr(hostcap.oracle, "MAX_STEPS", 3)
+    (row,) = incremental_screening(net3, ConstraintSet(), step=1e-300, candidates=[1])
+    assert (row.status, row.steps) == ("cap", 3)
+
+
 def test_screening_lower_bounds_eight_bus(net8):
     c = ConstraintSet(theta_max=0.05)
     joint = solve_hc(net8, c).hc_total
