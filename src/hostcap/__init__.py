@@ -11,7 +11,6 @@ from .netmodel import (
     serialize_case,
 )
 from .powerflow import (
-    BusSetpoint,
     InjectionProfile,
     PowerFlowError,
     VoltageState,

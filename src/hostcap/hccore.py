@@ -38,9 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netmodel import BusKind, Network, bfs_tree
+from .netmodel import Network, bfs_tree
 from .powerflow import (
-    BusSetpoint,
     InjectionProfile,
     PowerFlowError,
     VoltageState,
@@ -77,6 +76,7 @@ TOL = {
     "theta": 1e-9,     # rad beyond theta_max on a branch
     "thermal": 1e-9,   # relative overshoot of |I| over C
     "pf": 1e-6,        # undershoot of |P|/|S| below eta
+    "q_band": 1e-9,    # p.u. of |Q| beyond the pf band before the pf stage converts a generator
     "s_floor": 1e-9,   # |S| at or below which a generator counts as unity pf
     "binding": 1e-6,   # margin below which a limit is reported binding
 }
@@ -473,57 +473,47 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
 def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSolution:
     """Clamp generator reactive power to the pf band and re-solve voltages.
 
-    Violating generator buses are converted to fixed-(P, Q) with P at its
+    Violating generator buses are converted to PQ buses with P at its
     pattern value and Q on the nearest band edge, which puts their power
-    factor exactly at eta.  The remaining buses hold their pattern voltages
-    while a damped Newton iteration (damping 0.5, step tolerance 1e-9 so
-    the residual stays well inside the pf tolerance, at most 100
-    iterations) re-solves the converted buses.  Generators pushed into
-    violation by the re-solve are converted in later rounds.  The re-solve
-    normally moves magnitudes inward; driving one outside the box is
-    reported as infeasible.
+    factor exactly at eta.  A damped Newton iteration (damping 0.5, step
+    tolerance 1e-9 so the residual stays well inside the pf tolerance, at
+    most 100 iterations) re-solves the converted buses alone; every other
+    bus keeps its input magnitude and angle bit for bit.  Generators pushed
+    into violation by the re-solve are converted in later rounds.  The
+    re-solve normally moves magnitudes inward; driving one outside the box
+    is reported as infeasible.
     """
     if c.eta is None:
         return sol
     gens = network.gens.tolist()
 
-    def violations(inj: InjectionProfile, exclude: dict) -> list[int]:
+    def violations(inj: InjectionProfile, exclude: set[int]) -> list[int]:
         return [
             i for i in gens
-            if i not in exclude and abs(inj.q[i]) > pf_q_bounds(inj.p[i], c.eta)[1] + 1e-9
+            if i not in exclude and abs(inj.q[i]) > pf_q_bounds(inj.p[i], c.eta)[1] + TOL["q_band"]
         ]
 
-    converted: dict[int, tuple[float, float]] = {}
+    converted: set[int] = set()
+    p_t, q_t = np.zeros(network.n), np.zeros(network.n)  # schedule of the converted buses
     state = sol.state
     inj = sol.injections
     # each round converts at least one generator, so the rounds end
     while newly := violations(inj, converted):
         for i in newly:
-            p_target = float(inj.p[i])
-            q_edge = math.copysign(pf_q_bounds(p_target, c.eta)[1], inj.q[i])
-            converted[i] = (p_target, q_edge)
-        setpoints = []
-        for b in range(network.n):
-            if b in converted:
-                p_t, q_t = converted[b]
-                setpoints.append(BusSetpoint(kind=BusKind.LOAD, p=p_t, q=q_t))
-            else:
-                setpoints.append(
-                    BusSetpoint(
-                        kind=BusKind.SLACK,
-                        vm=float(state.magnitudes[b]),
-                        va=float(state.angles[b]),
-                    )
-                )
+            p_t[i] = inj.p[i]
+            q_t[i] = math.copysign(pf_q_bounds(float(inj.p[i]), c.eta)[1], inj.q[i])
+        converted.update(newly)
         try:
             # damping 0.5 for robustness; the step tolerance must sit well
             # below the pf acceptance tolerance TOL["pf"], hence 1e-9
             state = solve_newton(
                 network,
-                setpoints,
+                state,
+                p_t,
+                q_t,
+                pq=sorted(converted),
                 tol=1e-11,
                 max_iter=100,
-                x0=state,
                 damping=0.5,
                 step_tol=1e-9,
             )

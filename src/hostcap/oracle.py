@@ -36,13 +36,11 @@ from .hccore import (
     finalize_solution,
     verify,
 )
-from .netmodel import BusKind, Network, bfs_tree
+from .netmodel import Network, bfs_tree
 from .powerflow import (
-    BusSetpoint,
     PowerFlowError,
     VoltageState,
     _ybus_diagonal,
-    base_setpoints,
     bus_injections,
     evaluate_injections,
     solve_newton,
@@ -315,30 +313,35 @@ def incremental_screening(
     """Per-bus hosting capacity by ramping one injection until violation.
 
     Each candidate bus gets ``step`` p.u. of extra unity-pf injection per
-    round on top of its load, the power flow is re-solved, and the ramp
-    stops at the first constraint violation (or divergence).  The recorded
-    value is the last feasible added generation, zero if the base case
-    already violates.
+    round on top of its load, the power flow is re-solved with every
+    non-slack bus at its scheduled (P, Q), and the ramp stops at the first
+    constraint violation (or divergence).  The recorded value is the last
+    feasible added generation, zero if the base case already violates.  A
+    candidate whose injection one step cannot move (the slack, or a step
+    below the float spacing of its load) is refused before any ramp.
     """
     if not 0 < step < math.inf:  # false for NaN too
         raise ValueError("step must be positive and finite")
     if candidates is None:
         candidates = network.gens.tolist()
-    base = base_setpoints(network)
+    p0 = np.array([-b.load_p for b in network.buses])
+    q0 = np.array([-b.load_q for b in network.buses])
+    stuck = [i for i in candidates if i == network.slack_index or p0[i] + step == p0[i]]
+    if stuck:
+        raise ValueError(f"a step of {step!r} p.u. cannot move the injection of buses {stuck}")
+    vm = np.ones(network.n)
+    vm[network.slack_index] = network.slack_vm
+    flat = VoltageState(magnitudes=vm, angles=np.zeros(network.n))
     rows: list[ScreeningRow] = []
     for cand in candidates:
-        spec = list(base)
+        p = p0.copy()
         status = "cap"
         k = 0
-        last_state = None
+        state = flat
         while k <= MAX_STEPS:
-            spec[cand] = BusSetpoint(
-                kind=BusKind.LOAD,
-                p=-network.buses[cand].load_p + k * step,
-                q=-network.buses[cand].load_q,
-            )
+            p[cand] = p0[cand] + k * step
             try:
-                state = solve_newton(network, tuple(spec), x0=last_state)
+                state = solve_newton(network, state, p, q0, pq=network.free)
             except PowerFlowError:
                 status = "diverged"
                 break
@@ -349,7 +352,6 @@ def incremental_screening(
             if violated is not None:
                 status = violated
                 break
-            last_state = state
             k += 1
         rows.append(ScreeningRow(bus=cand, hc=(k - 1) * step if k else 0.0, steps=max(k - 1, 0), status=status))
     return rows

@@ -10,6 +10,12 @@ sources print a ``G cos - B sin`` variant for Q, which is not consistent with
 S = V conj(YV) and is not used here.  :func:`bus_injections` sums S branch by
 branch, and the Newton Jacobian evaluates its entries at the branches and
 the diagonal only, from the same branch arrays; no dense Ybus is read.
+
+:func:`solve_newton` solves for the PQ buses it is handed, each holding a
+scheduled (P, Q), and holds every other bus at its start phasor.  Both
+callers need no other bus type: the power-factor stage re-solves the
+generators it converted while the rest keep their pattern voltages, and the
+screening ramp schedules every non-slack bus.
 """
 
 from __future__ import annotations
@@ -18,16 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import BusKind, Network
+from .netmodel import Network
 
 __all__ = [
     "VoltageState",
     "InjectionProfile",
-    "BusSetpoint",
     "PowerFlowError",
     "bus_injections",
     "evaluate_injections",
-    "base_setpoints",
     "solve_newton",
 ]
 
@@ -81,21 +85,6 @@ class InjectionProfile:
         return self.p + 1j * self.q
 
 
-@dataclass(frozen=True)
-class BusSetpoint:
-    """What is held fixed at a bus during a Newton solve.
-
-    kind SLACK -> vm and va fixed; kind GEN (PV-type) -> p and vm fixed;
-    kind LOAD (PQ-type) -> p and q fixed.
-    """
-
-    kind: BusKind
-    p: float = 0.0
-    q: float = 0.0
-    vm: float = 1.0
-    va: float = 0.0
-
-
 def bus_injections(network: Network, v: np.ndarray) -> np.ndarray:
     """Injections S = V conj(I) of phasors ``v`` of shape ``(..., n)``.
 
@@ -118,17 +107,6 @@ def evaluate_injections(network: Network, state: VoltageState) -> InjectionProfi
         raise ValueError(f"state has {state.n} buses, network has {network.n}")
     s = bus_injections(network, state.phasors)
     return InjectionProfile(p=s.real, q=s.imag)
-
-
-def base_setpoints(network: Network) -> tuple[BusSetpoint, ...]:
-    """Setpoints for the base operating case: loads as PQ, slack fixed."""
-    out = []
-    for b in network.buses:
-        if b.kind is BusKind.SLACK:
-            out.append(BusSetpoint(kind=BusKind.SLACK, vm=network.slack_vm, va=0.0))
-        else:
-            out.append(BusSetpoint(kind=BusKind.LOAD, p=-b.load_p, q=-b.load_q))
-    return tuple(out)
 
 
 def _jacobian(network: Network, v: np.ndarray, s: np.ndarray, ang_idx: list[int], mag_idx: list[int]):
@@ -174,63 +152,47 @@ def _ybus_diagonal(network: Network) -> np.ndarray:
 
 def solve_newton(
     network: Network,
-    setpoints: tuple[BusSetpoint, ...] | list[BusSetpoint],
+    x0: VoltageState,
+    p: np.ndarray,
+    q: np.ndarray,
+    pq: list[int] | np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 50,
-    x0: VoltageState | None = None,
     damping: float = 1.0,
     step_tol: float = 0.0,
 ) -> VoltageState:
-    """Newton-Raphson power flow for the given per-bus setpoints.
+    """Newton-Raphson power flow for the PQ buses ``pq`` (ascending ids).
 
-    Unknowns are angles at non-fixed buses plus magnitudes at PQ buses.
+    Each bus in ``pq`` holds its scheduled injection ``p[i] + j q[i]``, and
+    its angle and magnitude are the unknowns; every other bus holds its
+    ``x0`` phasor.  ``p``, ``q`` and ``x0`` have one entry per bus.
     Converges when the active/reactive mismatch infinity-norm drops to
     ``tol``; with ``step_tol`` > 0 the damped iteration also stops once the
-    voltage update is smaller than ``step_tol``.  Starts flat (1 p.u., zero
-    angle) unless ``x0`` is given.
+    voltage update is smaller than ``step_tol``.
     """
     n = network.n
-    if len(setpoints) != n:
-        raise ValueError("one setpoint per bus required")
-    if x0 is None:
-        vm = np.ones(n)
-        va = np.zeros(n)
-    else:
-        vm = np.array(x0.magnitudes, dtype=float)
-        va = np.array(x0.angles, dtype=float)
-    fixed = [i for i, sp in enumerate(setpoints) if sp.kind is BusKind.SLACK]
-    pv = [i for i, sp in enumerate(setpoints) if sp.kind is BusKind.GEN]
-    pq = [i for i, sp in enumerate(setpoints) if sp.kind is BusKind.LOAD]
-    for i in fixed:
-        vm[i] = setpoints[i].vm
-        va[i] = setpoints[i].va
-    for i in pv:
-        vm[i] = setpoints[i].vm
-    ang_idx = sorted(pv + pq)  # buses with free angle
-    mag_idx = sorted(pq)       # buses with free magnitude
-    p_sched = np.array([sp.p for sp in setpoints])
-    q_sched = np.array([sp.q for sp in setpoints])
+    if not len(p) == len(q) == x0.n == n:
+        raise ValueError(f"p, q and x0 must have one entry per bus ({n})")
+    vm = np.array(x0.magnitudes, dtype=float)
+    va = np.array(x0.angles, dtype=float)
 
     mismatch = np.inf
     for it in range(max_iter + 1):
         v = vm * np.exp(1j * va)
         s = bus_injections(network, v)
-        dp = p_sched[ang_idx] - s.real[ang_idx]
-        dq = q_sched[mag_idx] - s.imag[mag_idx]
-        rhs = np.concatenate([dp, dq])
+        rhs = np.concatenate([p[pq] - s.real[pq], q[pq] - s.imag[pq]])
         mismatch = float(np.max(np.abs(rhs))) if rhs.size else 0.0
         if mismatch <= tol:
             return VoltageState(magnitudes=vm, angles=va)
         if it == max_iter:
             break
         try:
-            step = np.linalg.solve(_jacobian(network, v, s, ang_idx, mag_idx), rhs)
+            step = np.linalg.solve(_jacobian(network, v, s, pq, pq), rhs)
         except np.linalg.LinAlgError:
             raise PowerFlowError("singular Jacobian", mismatch=mismatch) from None
         step = damping * step
-        na = len(ang_idx)
-        va[ang_idx] += step[:na]
-        vm[mag_idx] += step[na:]
+        va[pq] += step[: len(pq)]
+        vm[pq] += step[len(pq):]
         if np.any(vm <= 0):
             raise PowerFlowError("voltage magnitude collapsed below zero", mismatch=mismatch)
         if step_tol > 0 and (step.size == 0 or float(np.max(np.abs(step))) < step_tol):
@@ -239,4 +201,3 @@ def solve_newton(
         f"no convergence in {max_iter} iterations (final mismatch {mismatch:.3e})",
         mismatch=mismatch,
     )
-

@@ -355,6 +355,16 @@ def test_screen_refuses_a_non_finite_step(capsys, step):
     assert capsys.readouterr() == ("", "error: step must be positive and finite\n")
 
 
+def test_screen_refuses_a_step_below_the_load_spacing(capsys, monkeypatch):
+    import hostcap.cli
+    import hostcap.oracle
+
+    monkeypatch.setattr(hostcap.oracle, "MAX_STEPS", 3)  # so the unrefused ramps end
+    code = hostcap.cli.main(["screen", "--step", "1e-20", str(FIXTURE_DIR / "8bus.case")])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: a step of 1e-20 p.u. cannot move the injection of buses [2, 3, 5, 7]\n")
+
+
 def test_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
     import hostcap.cli
 

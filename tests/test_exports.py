@@ -33,3 +33,21 @@ def test_only_netmodel_binds_the_dense_ybus():
     names = ["hostcap"] + [f"hostcap.{name}" for name in (*MODULES, "cli")]
     assert [name for name in names if "build_ybus" in vars(importlib.import_module(name))] == ["hostcap.netmodel"]
     assert not hasattr(importlib.import_module("hostcap.netmodel").Network, "ybus")
+
+
+SOURCES = sorted(p for p in Path(hostcap.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    # __init__.py only re-exports; a `# noqa: F401` line names an import kept on purpose
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: alias.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name, line in imported.items() if name not in used and "# noqa: F401" not in lines[line - 1]] == []

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hostcap.hccore import (
+    AdjustmentError,
     ConstraintSet,
     InfeasibleError,
     adjust_power_factor,
@@ -19,6 +20,7 @@ from hostcap.hccore import (
     pf_q_bounds,
     power_factors,
     solve_hc,
+    solve_hc_stages,
     solve_voltage_only,
     solve_with_angle,
     verify,
@@ -329,6 +331,47 @@ def test_pf_tightening_never_increases_hc():
         previous = sol.hc_total
 
 
+@pytest.mark.parametrize(
+    "source, theta, eta",
+    [("8bus_pf.case", 0.0, 0.95), ((20, 2), 0.0, 0.8), ((20, 4), 0.05, 0.95), ((60, 4), 0.004, 0.8)],
+    ids=["8bus_pf", "feeder20-2", "feeder20-4", "feeder60-4"],
+)
+def test_pf_stage_holds_every_unconverted_bus_bit_for_bit(monkeypatch, source, theta, eta):
+    import hostcap.hccore
+
+    net = load_fixture(source) if isinstance(source, str) else parse_case(
+        make_feeder(*source, thermal=True, loads=True).text
+    )
+    c = ConstraintSet(theta_max=theta, eta=eta)
+    before = adjust_thermal(net, c, solve_with_angle(net, c))
+    solved, newton = set(), hostcap.hccore.solve_newton
+
+    def recording(network, x0, p, q, pq, **kwargs):
+        solved.update(pq)
+        return newton(network, x0, p, q, pq, **kwargs)
+
+    monkeypatch.setattr(hostcap.hccore, "solve_newton", recording)
+    after = adjust_power_factor(net, c, before)
+    assert after.stage == "pf_adjusted" and solved <= set(net.gens.tolist())
+    held = [b for b in range(net.n) if b not in solved]
+    assert held
+    assert after.state.magnitudes[held].tobytes() == before.state.magnitudes[held].tobytes()
+    assert after.state.angles[held].tobytes() == before.state.angles[held].tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, theta, eta, message",
+    [
+        (3, 0.0, 0.9, r"no convergence in 100 iterations \(final mismatch"),
+        (2, 0.004, 0.95, "voltage magnitude collapsed below zero$"),
+    ],
+)
+def test_pf_resolve_failure_is_an_adjustment_error(seed, theta, eta, message):
+    net = parse_case(make_feeder(20, seed, thermal=True, loads=True).text)
+    with pytest.raises(AdjustmentError, match=f"^power-factor re-solve failed: {message}"):
+        solve_hc_stages(net, ConstraintSet(theta_max=theta, eta=eta))
+
+
 # --- full pipeline --------------------------------------------------------------
 
 
@@ -372,8 +415,6 @@ def test_monotone_under_single_constraint_tightening(net8):
 
 
 def test_hc_total_is_weighted_injection_sum(net8):
-    from hostcap.hccore import solve_hc_stages
-
     for sol in solve_hc_stages(net8, ConstraintSet(theta_max=0.004, eta=0.80)):
         assert sol.hc_total == pytest.approx(float(net8.lam @ sol.injections.p), abs=1e-10)
 

@@ -149,6 +149,25 @@ def test_screening_stops_at_the_step_cap(net3, monkeypatch):
     assert (row.status, row.steps) == ("cap", 3)
 
 
+def test_screening_reports_a_diverged_ramp(net123, monkeypatch):
+    import hostcap.oracle
+
+    monkeypatch.setattr(hostcap.oracle, "MAX_STEPS", 3)
+    c = ConstraintSet(v_min=0.1, v_max=10, theta_max=3)
+    (row,) = incremental_screening(net123, c, step=5.0, candidates=[57])
+    assert (row.status, row.hc, row.steps) == ("diverged", 0.0, 0)
+
+
+@pytest.mark.parametrize("bus, step", [(3, 1e-20), (0, 0.01)], ids=["below-load-spacing", "slack"])
+def test_screening_refuses_a_ramp_that_cannot_move(net8, monkeypatch, bus, step):
+    import hostcap.oracle
+
+    monkeypatch.setattr(hostcap.oracle, "MAX_STEPS", 3)  # so the unrefused ramp ends
+    c = ConstraintSet(theta_max=0.05, eta=0.9)
+    with pytest.raises(ValueError, match=rf"cannot move the injection of buses \[{bus}\]$"):
+        incremental_screening(net8, c, step=step, candidates=[bus])
+
+
 def test_screening_lower_bounds_eight_bus(net8):
     c = ConstraintSet(theta_max=0.05)
     joint = solve_hc(net8, c).hc_total

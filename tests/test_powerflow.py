@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hostcap.netmodel import BusKind, build_ybus
+from hostcap.netmodel import build_ybus
 from hostcap.powerflow import (
-    BusSetpoint,
     PowerFlowError,
     VoltageState,
-    base_setpoints,
     evaluate_injections,
     solve_newton,
 )
@@ -99,38 +97,31 @@ def test_rect_and_polar_views_agree(net8):
 # --- Newton solve -------------------------------------------------------------
 
 
-def _zero_spec(net):
-    return tuple(
-        BusSetpoint(kind=BusKind.SLACK, vm=1.0)
-        if b.kind is BusKind.SLACK
-        else BusSetpoint(kind=BusKind.LOAD, p=0.0, q=0.0)
-        for b in net.buses
-    )
+def _flat(net):
+    return VoltageState(magnitudes=np.ones(net.n), angles=np.zeros(net.n))
 
 
 def test_zero_injection_flat_fixed_point(net8):
-    state = solve_newton(net8, _zero_spec(net8))
+    state = solve_newton(net8, _flat(net8), np.zeros(8), np.zeros(8), pq=net8.free)
     np.testing.assert_allclose(state.magnitudes, 1.0, atol=1e-12)
     np.testing.assert_allclose(state.angles, 0.0, atol=1e-12)
 
 
-def test_pv_spec_reproduces_marked_point(net3):
-    spec = (
-        BusSetpoint(kind=BusKind.SLACK, vm=1.0),
-        BusSetpoint(kind=BusKind.GEN, p=0.1575, vm=1.05),
-        BusSetpoint(kind=BusKind.GEN, p=-0.095, vm=0.95),
-    )
-    state = solve_newton(net3, spec, tol=1e-10)
+def test_pq_schedule_reproduces_marked_point(net3):
+    p = np.array([0.0, 0.1575, -0.095])
+    state = solve_newton(net3, _flat(net3), p, np.zeros(3), pq=[1, 2], tol=1e-10)
     inj = evaluate_injections(net3, state)
     assert abs(inj.p[1] - 0.1575) < 1e-8
     assert abs(inj.p[2] + 0.095) < 1e-8
     np.testing.assert_allclose(state.angles, 0.0, atol=1e-9)
+    np.testing.assert_allclose(state.magnitudes, [1.0, 1.05, 0.95], atol=1e-9)
 
 
 def test_solved_state_reproduces_setpoints(net8):
-    spec = list(base_setpoints(net8))
-    spec[3] = BusSetpoint(kind=BusKind.LOAD, p=0.1, q=-0.02)
-    state = solve_newton(net8, tuple(spec), tol=1e-9)
+    p = np.array([-b.load_p for b in net8.buses])
+    q = np.array([-b.load_q for b in net8.buses])
+    p[3], q[3] = 0.1, -0.02
+    state = solve_newton(net8, _flat(net8), p, q, pq=net8.free, tol=1e-9)
     inj = evaluate_injections(net8, state)
     assert abs(inj.p[3] - 0.1) < 1e-9
     assert abs(inj.q[3] + 0.02) < 1e-9
@@ -138,11 +129,26 @@ def test_solved_state_reproduces_setpoints(net8):
 
 def test_nonconvergence_reports_mismatch(net3):
     # drawing 100 p.u. through a 1 p.u. resistance has no solution
-    spec = (
-        BusSetpoint(kind=BusKind.SLACK, vm=1.0),
-        BusSetpoint(kind=BusKind.LOAD, p=-100.0, q=0.0),
-        BusSetpoint(kind=BusKind.LOAD, p=0.0, q=0.0),
-    )
+    p = np.array([0.0, -100.0, 0.0])
     with pytest.raises(PowerFlowError) as err:
-        solve_newton(net3, spec, max_iter=10)
+        solve_newton(net3, _flat(net3), p, np.zeros(3), pq=[1, 2], max_iter=10)
     assert err.value.mismatch is None or err.value.mismatch > 0
+
+
+@pytest.mark.parametrize("short", ["p", "q", "x0"])
+def test_schedule_and_start_need_one_entry_per_bus(net3, short):
+    args = {"x0": _flat(net3), "p": np.zeros(3), "q": np.zeros(3)}
+    args[short] = _flat(load_fixture("4bus.case")) if short == "x0" else np.zeros(2)
+    with pytest.raises(ValueError, match="one entry per bus"):
+        solve_newton(net3, pq=[1, 2], **args)
+
+
+def test_buses_outside_pq_hold_their_start_phasor(net8):
+    start = random_state(net8)
+    p = np.array([-b.load_p for b in net8.buses])
+    state = solve_newton(net8, start, p, np.zeros(8), pq=[2, 5], tol=1e-10)
+    held = [0, 1, 3, 4, 6, 7]
+    assert state.magnitudes[held].tobytes() == start.magnitudes[held].tobytes()
+    assert state.angles[held].tobytes() == start.angles[held].tobytes()
+    inj = evaluate_injections(net8, state)
+    np.testing.assert_allclose(inj.p[[2, 5]], p[[2, 5]], atol=1e-10)
