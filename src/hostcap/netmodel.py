@@ -1,9 +1,9 @@
 """Radial feeder model: case-file parsing, admittance assembly, BFS tree.
 
-Buses and branches are plain frozen records.  The :class:`Network` derives
-read-only arrays from them once (branch ends, child ends, admittances and
-limits, the BFS tree from the slack, the non-slack and generator buses), and
-the solver core reads only those.  Only tests build the dense admittance
+A :class:`Network` is read-only columns (per bus, per branch, the BFS tree
+from the slack), and the solver core reads only those.  :func:`parse_case`
+fills them straight from the text; the ``buses`` and ``branches`` records
+are built from them on first access.  Only tests build the dense admittance
 matrix (:func:`build_ybus`), as the reference of the branch-wise evaluation.
 All quantities are per-unit on the case file's system base.
 
@@ -17,20 +17,22 @@ Case file format (UTF-8 text, ``#`` starts a comment, blank lines ignored)::
 
 All numbers are decimal; loads and impedances are per-unit on the declared
 base.  Bus ids must be contiguous integers starting at 0; by convention the
-slack is bus 0, but any single bus may be declared ``slack``.
+slack is bus 0, but any single bus may be declared ``slack``.  The last BASE
+and the first LIMITS record count.
 
 One reader serves this format and the three-phase ``.case3`` format of
 :mod:`hostcap.sequence`, which differ only in their BUS/BRANCH records' reals
-and in SHUNT, a ``.case``-only record: both share every record check and its
-error message, which names the record's line, and both network types share
-one check of bus ids, slack and branch ends.
+and in SHUNT, a ``.case``-only record.  It checks each column by array
+expressions; on a fault the per-record checks raise the first one in line
+order, naming its line.  Both network types share one check of slack and ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -109,28 +111,32 @@ class Branch:
         return 1.0 / complex(self.r, self.x)
 
 
-def _checked_ends(buses, branches) -> tuple[int, np.ndarray, np.ndarray]:
-    """The slack's index and branch ends, once ids run 0..n-1, one bus is the slack and every end exists.
+def _branch_faults(frm, to, r, x, limit) -> np.ndarray:
+    """Per branch, whether :class:`Branch`'s own checks refuse it."""
+    return (frm == to) | (r < 0) | ((r == 0) & (x == 0)) | ~(limit >= 0)
 
-    Shared by :class:`Network` and :class:`hostcap.sequence.ThreePhaseNetwork`.
-    """
-    n = len(buses)
-    if n == 0:
-        raise ValueError("network has no buses")
-    if [b.id for b in buses] != list(range(n)):
+
+def _record_columns(buses, branches) -> tuple:
+    """The slack ids, generator ids, weights, branch ends and limits (+inf where unlimited) of records."""
+    if [b.id for b in buses] != list(range(len(buses))):
         raise ValueError("bus ids must be contiguous integers starting at 0")
-    slack = BusKind.SLACK  # bound once: an Enum member lookup costs more than the test
-    slacks = [b.id for b in buses if b.kind is slack]
-    if len(slacks) == 0:
-        raise ValueError("missing slack bus")
-    if len(slacks) > 1:
-        raise ValueError(f"multiple slack buses: {slacks}")
-    frm = np.array([br.from_bus for br in branches], dtype=int)
-    to = np.array([br.to_bus for br in branches], dtype=int)
-    bad = np.flatnonzero((np.minimum(frm, to) < 0) | (np.maximum(frm, to) >= n))
-    if bad.size:
-        raise ValueError(f"branch {frm[bad[0]]}-{to[bad[0]]}: unknown bus id")
-    return slacks[0], frm, to
+    return (
+        [b.id for b in buses if b.kind is BusKind.SLACK],
+        [b.id for b in buses if b.kind is BusKind.GEN],
+        np.array([b.lam for b in buses], dtype=float),
+        np.array([br.from_bus for br in branches], dtype=int),
+        np.array([br.to_bus for br in branches], dtype=int),
+        np.array([np.inf if br.thermal_limit is None else br.thermal_limit for br in branches], dtype=float),
+    )
+
+
+def _kinds(net) -> list[BusKind]:
+    """Every bus's kind, from the slack and the generator ids."""
+    kinds = [BusKind.LOAD] * net.n
+    for g in net.gens.tolist():
+        kinds[g] = BusKind.GEN
+    kinds[net.slack_index] = BusKind.SLACK
+    return kinds
 
 
 def _set_readonly(obj, **arrays: np.ndarray) -> None:
@@ -140,20 +146,73 @@ def _set_readonly(obj, **arrays: np.ndarray) -> None:
         object.__setattr__(obj, name, arr)
 
 
+class _Columns:
+    """Base of both network types: ``buses`` and ``branches`` are init fields without a default,
+    so on a network made by ``_from_columns`` the first access builds both (``_records``)."""
+
+    @classmethod
+    def _from_columns(cls, *columns, **given):
+        """The network of ``columns``, as ``_derive`` takes them, and the ``given`` init fields."""
+        net = object.__new__(cls)
+        net.__dict__.update({f.name: f.default for f in fields(cls) if f.default is not MISSING}, **given)
+        net._derive(*columns)
+        return net
+
+    def __getattr__(self, name: str):
+        if name not in ("buses", "branches"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["buses"], self.__dict__["branches"] = self._records()
+        return self.__dict__[name]
+
+    def _derive(self, slacks, gens, lam, frm, to, limit, loads, z) -> None:
+        """Check the slack and the branch ends, then set the columns both network types carry."""
+        if lam.size == 0:
+            raise ValueError("network has no buses")
+        if len(slacks) != 1:
+            raise ValueError(f"multiple slack buses: {list(slacks)}" if slacks else "missing slack bus")
+        bad = np.flatnonzero((np.minimum(frm, to) < 0) | (np.maximum(frm, to) >= lam.size))
+        if bad.size:
+            raise ValueError(f"branch {frm[bad[0]]}-{to[bad[0]]}: unknown bus id")
+        object.__setattr__(self, "slack_index", slacks[0])
+        _set_readonly(self, gens=np.array(gens, dtype=int), lam=lam, loads=loads)
+        _set_readonly(self, branch_from=frm, branch_to=to, branch_limit=limit, branch_z=z)
+
+    @property
+    def n(self) -> int:
+        return self.lam.size
+
+
+def _bfs(n: int, root: int, frm: np.ndarray, to: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parents (-1 at the root), depths and visit order of the breadth-first walk, neighbours ascending."""
+    ends, nbrs = np.concatenate([frm, to]), np.concatenate([to, frm])
+    nbr = nbrs[np.lexsort((nbrs, ends))].tolist()  # CSR: bus u's neighbours are nbr[start[u]:start[u + 1]]
+    start = [0, *np.cumsum(np.bincount(ends, minlength=n)).tolist()]
+    parents, depths, order = [-1] * n, [-1] * n, [root]
+    depths[root] = 0
+    for u in order:  # the list grows while it is walked: a breadth-first queue
+        for v in nbr[start[u] : start[u + 1]]:
+            if depths[v] < 0:
+                depths[v] = depths[u] + 1
+                parents[v] = u
+                order.append(v)
+    if len(order) != n:
+        raise TopologyError("non-connected graph")
+    return np.array(parents, dtype=int), np.array(depths, dtype=int), np.array(order, dtype=int)
+
+
 @dataclass(frozen=True, eq=False)
-class Network:
-    """A frozen bus/branch network over per-branch arrays.
+class Network(_Columns):
+    """A frozen bus/branch network: read-only columns first, records on demand.
 
     Construction validates that bus ids are contiguous from 0, that exactly
     one bus is the slack, that branch endpoints exist and that the branch
     graph is connected.  Radiality (exactly n-1 branches) is *not* required
-    here; operations that need a tree check it themselves.  Construction
-    derives, once, the per-branch arrays (endpoints, child end, series
-    admittance, thermal limit), the breadth-first walk from the slack
-    (``parents``, ``depths``, ``order``; see :func:`bfs_tree`), the slack
-    index, the ``free`` (non-slack) and ``gens`` buses and the weights ``lam``.
-    The solver and the grid oracle run on these alone.  ``case_limits`` holds
-    the LIMITS record (None without one): CLI defaults, unused by the solver.
+    here; operations that need a tree check it themselves.  One code path
+    derives the columns below, from records or from :func:`parse_case`'s
+    columns; the solver and the grid oracle run on them alone.  ``buses``
+    and ``branches`` of a parsed network are built on first access.
+    ``case_limits`` holds the LIMITS record (None without one): CLI
+    defaults, unused by the solver.
     """
 
     buses: tuple[Bus, ...]
@@ -163,73 +222,64 @@ class Network:
     slack_vm: float = 1.0
     shunts: tuple[complex, ...] | None = None
     case_limits: dict[str, float] | None = None
-    # per-branch arrays, in branch order; branch_limit is +inf where unlimited
-    branch_from: np.ndarray = field(init=False, repr=False)
-    branch_to: np.ndarray = field(init=False, repr=False)
-    branch_child: np.ndarray = field(init=False, repr=False)  # on a tree, the end farther from the slack
-    branch_y: np.ndarray = field(init=False, repr=False)
-    branch_limit: np.ndarray = field(init=False, repr=False)
-    # breadth-first walk from the slack over adjacency(): parent (-1 at the root), depth, visit order
-    parents: np.ndarray = field(init=False, repr=False)
-    depths: np.ndarray = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
+    # per-bus columns, in id order
+    loads: np.ndarray = field(init=False, repr=False)  # complex power P + jQ drawn
+    lam: np.ndarray = field(init=False, repr=False)  # objective weight
     slack_index: int = field(init=False)
     free: np.ndarray = field(init=False, repr=False)  # ascending ids of the non-slack buses
     gens: np.ndarray = field(init=False, repr=False)  # ascending ids of the generator buses
-    lam: np.ndarray = field(init=False, repr=False)  # per-bus objective weight
+    # per-branch columns, in branch order; branch_limit is +inf where unlimited
+    branch_from: np.ndarray = field(init=False, repr=False)
+    branch_to: np.ndarray = field(init=False, repr=False)
+    branch_child: np.ndarray = field(init=False, repr=False)  # on a tree, the end farther from the slack
+    branch_z: np.ndarray = field(init=False, repr=False)  # complex(r, x)
+    branch_y: np.ndarray = field(init=False, repr=False)
+    branch_limit: np.ndarray = field(init=False, repr=False)
+    # breadth-first walk from the slack: parent (-1 at the root), depth, visit order
+    parents: np.ndarray = field(init=False, repr=False)
+    depths: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n, (root, frm, to) = len(self.buses), _checked_ends(self.buses, self.branches)
-        if self.slack_vm <= 0:
-            raise ValueError("slack voltage magnitude must be positive")
-        if self.shunts is not None and len(self.shunts) != n:
-            raise ValueError("shunt vector length must equal bus count")
-        adj = self.adjacency()
-        parents, depths, order = [-1] * n, [-1] * n, [root]
-        depths[root] = 0
-        for u in order:  # the list grows while it is walked: a breadth-first queue
-            for v, _bi in adj[u]:
-                if depths[v] < 0:
-                    depths[v] = depths[u] + 1
-                    parents[v] = u
-                    order.append(v)
-        if len(order) != n:
-            raise TopologyError("non-connected graph")
-        object.__setattr__(self, "slack_index", root)
-        limits = [np.inf if br.thermal_limit is None else br.thermal_limit for br in self.branches]
-        parents = np.array(parents, dtype=int)
-        gen = BusKind.GEN  # bound once, as in _checked_ends
-        _set_readonly(
-            self,
-            branch_from=frm,
-            branch_to=to,
-            branch_child=np.where(parents[to] == frm, to, frm),
-            branch_y=np.array([br.series_admittance for br in self.branches], dtype=complex),
-            branch_limit=np.array(limits, dtype=float),
-            parents=parents,
-            depths=np.array(depths, dtype=int),
-            order=np.array(order, dtype=int),
-            free=np.flatnonzero(np.arange(n) != root),
-            gens=np.array([b.id for b in self.buses if b.kind is gen], dtype=int),
-            lam=np.array([b.lam for b in self.buses], dtype=float),
+        self._derive(
+            *_record_columns(self.buses, self.branches),
+            np.array([complex(b.load_p, b.load_q) for b in self.buses], dtype=complex),
+            np.array([complex(br.r, br.x) for br in self.branches], dtype=complex),
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.buses)
+    def _derive(self, slacks, gens, lam, frm, to, limit, loads, z) -> None:
+        super()._derive(slacks, gens, lam, frm, to, limit, loads, z)
+        if self.slack_vm <= 0:
+            raise ValueError("slack voltage magnitude must be positive")
+        if self.shunts is not None and len(self.shunts) != self.n:
+            raise ValueError("shunt vector length must equal bus count")
+        parents, depths, order = _bfs(self.n, self.slack_index, frm, to)
+        free = np.flatnonzero(np.arange(self.n) != self.slack_index)
+        _set_readonly(self, parents=parents, depths=depths, order=order, free=free)
+        y = np.array([1.0 / zb for zb in z.tolist()], dtype=complex)  # as Branch.series_admittance, bit for bit
+        _set_readonly(self, branch_child=np.where(parents[to] == frm, to, frm), branch_y=y)
+
+    def _records(self) -> tuple[tuple[Bus, ...], tuple[Branch, ...]]:
+        s, z = self.loads, self.branch_z
+        limits = [None if c == math.inf else c for c in self.branch_limit.tolist()]
+        ends = self.branch_from.tolist(), self.branch_to.tolist()
+        return (
+            tuple(map(Bus, range(self.n), _kinds(self), s.real.tolist(), s.imag.tolist(), self.lam.tolist())),
+            tuple(map(Branch, *ends, z.real.tolist(), z.imag.tolist(), limits)),
+        )
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """Per-bus list of (neighbor id, branch index), sorted by neighbor."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for bi, br in enumerate(self.branches):
-            adj[br.from_bus].append((br.to_bus, bi))
-            adj[br.to_bus].append((br.from_bus, bi))
+        for bi, (i, k) in enumerate(zip(self.branch_from.tolist(), self.branch_to.tolist())):
+            adj[i].append((k, bi))
+            adj[k].append((i, bi))
         for lst in adj:
             lst.sort()
         return adj
 
     def is_radial(self) -> bool:
-        return len(self.branches) == self.n - 1
+        return self.branch_from.size == self.n - 1
 
 
 def build_ybus(network: Network) -> np.ndarray:
@@ -240,7 +290,7 @@ def build_ybus(network: Network) -> np.ndarray:
     symmetric, and with no shunts every row sums to zero.  The dense
     reference (16 n^2 bytes) that tests pin the branch-wise evaluation to.
     """
-    n = len(network.buses)
+    n = network.n
     y = np.zeros((n, n), dtype=complex)
     i, k, ys = network.branch_from, network.branch_to, network.branch_y
     # np.add.at adds in index order, so every entry sums its branches in branch order
@@ -268,11 +318,12 @@ def bfs_tree(network: Network) -> tuple[np.ndarray, np.ndarray, list[int]]:
 # --- case-file I/O ---------------------------------------------------------
 
 
-def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            yield lineno, toks
+def _tokens(text: str) -> list[list[str]]:
+    """The tokens of every line, comments dropped: item k holds line k + 1 (empty when blank)."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [raw.split() for raw in lines]
 
 
 def _num(tok: str, lineno: int, what: str) -> float:
@@ -286,14 +337,6 @@ def _num(tok: str, lineno: int, what: str) -> float:
 
 
 def _reals(toks: list[str], lineno: int, labels) -> list[float]:
-    """The tokens as finite floats, converted in one pass; ``_num`` names a bad one."""
-    try:
-        vals = [*map(float, toks)]
-    except ValueError:
-        vals = [math.nan]  # _num below names the token
-    total = sum(vals)
-    if total - total == 0:  # an inf or nan anywhere makes the sum non-finite
-        return vals
     return [_num(tok, lineno, what) for tok, what in zip(toks, labels)]
 
 
@@ -307,86 +350,129 @@ def _int(tok: str, lineno: int, what: str) -> int:
 _KINDS = {kind.value: kind for kind in BusKind}
 
 
-def _read_case(text: str, suffix: str, *, bus_reals, branch_reals, usage, bus, branch, network, extra=None):
-    """Read case text of either format into its network.
+def _columns(bus_rows, branch_rows, n_bus: int, n_branch: int, branch_faults):
+    """The columns of the BUS and BRANCH token rows, or None when a check fails.
+
+    They are the slack ids, the generator ids, the bus reals (one row per
+    field, in id order), the branch ends, the branch reals (one row per
+    field) and the limits (+inf where unlimited).
+    """
+    n, m, lens = len(bus_rows), len(branch_rows), [*map(len, branch_rows)]
+    if not n or {*map(len, bus_rows)} != {n_bus} or not {*lens} <= {n_branch, n_branch + 1}:
+        return None
+    _, ids, kinds, *reals = zip(*bus_rows)
+    ids, kinds = [*map(int, ids)], [*map(str.lower, kinds)]
+    if sorted(ids) != [*range(n)] or not {*kinds} <= _KINDS.keys():  # a duplicate or a gap, or an unknown kind
+        return None
+    slacks, gens = (sorted(i for i, k in zip(ids, kinds) if k == kind) for kind in ("slack", "gen"))
+    bus_vals = np.array([*map(float, chain.from_iterable(reals))]).reshape(n_bus - 3, n)[:, np.argsort(ids)]
+    _, frm, to, *reals = [*zip(*branch_rows)][:n_branch] or [()] * n_branch  # zip stops at the shortest row
+    frm, to = np.array([*map(int, frm)], dtype=int), np.array([*map(int, to)], dtype=int)
+    branch_vals = np.array([*map(float, chain.from_iterable(reals))]).reshape(n_branch - 3, m)
+    limited = [i for i, k in enumerate(lens) if k > n_branch]
+    limit = np.full(m, np.inf)
+    limit[limited] = [float(branch_rows[i][-1]) for i in limited]
+    if (
+        np.isfinite(bus_vals).all() and (bus_vals[-1] >= 0).all()  # lambda non-negative
+        and np.isfinite(branch_vals).all() and np.isfinite(limit[limited]).all() and (limit > 0).all()
+        and not (branch_faults and branch_faults(frm, to, *branch_vals, limit).any())
+    ):
+        return slacks, gens, bus_vals, frm, to, branch_vals, limit
+    return None
+
+
+def _read_case(text: str, suffix: str, *, bus_reals, branch_reals, usage, bus, branch, network, branch_faults=None,
+               extra=None):
+    """Read case text of either format into its network, column by column.
 
     A bus record is ``BUS<suffix> <id> <kind> <load reals> <lambda>`` and a
     branch record ``BRANCH<suffix> <from> <to> <impedance reals> [C]``.
-    ``bus_reals`` and ``branch_reals`` label each real in error messages,
-    ``usage`` is the (bus, branch) records' usage line.  ``bus(id, kind,
-    *reals)`` and ``branch(from, to, *reals, C)`` build the records and
-    ``network(buses, branches, base_mva, base_kv, limits)`` the network; their
-    ValueErrors come back as :class:`CaseFormatError`, a record's naming its
-    line (a :class:`TopologyError` passes through).  BASE and the
-    first LIMITS record are read for every format; ``extra`` maps further
-    records to ``handler(toks, lineno)``.
+    ``network(*columns, base, limits)`` builds the network from
+    :func:`_columns`, ``branch_faults`` flagging the branches the format
+    refuses; its ValueErrors come back as :class:`CaseFormatError` (a
+    :class:`TopologyError` passes through).  When a column check fails,
+    ``scan`` raises the first fault in line order: ``bus_reals`` and
+    ``branch_reals`` label each real, ``usage`` is the (bus, branch) usage
+    line, and ``bus(id, kind, *reals)`` and ``branch(from, to, *reals, C)``
+    run the record checks.  ``extra`` maps further records to
+    ``handler(toks, lineno)``.
     """
     bus_rec, branch_rec = "BUS" + suffix, "BRANCH" + suffix
     n_bus, n_branch = 3 + len(bus_reals), 3 + len(branch_reals)
-    handlers = extra or {}
-    raw_buses: dict = {}
-    branches: list = []
-    base = limits = None
-    for lineno, toks in _tokens(text):
-        rec = toks[0].upper()
-        try:
-            if rec == branch_rec:
-                if len(toks) != n_branch and len(toks) != n_branch + 1:
-                    raise CaseFormatError(f"line {lineno}: {branch_rec} takes {usage[1]}")
-                limit = None
-                if len(toks) > n_branch:
-                    limit = _num(toks[-1], lineno, "thermal limit")
-                    if not limit > 0:
-                        raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
-                try:
-                    ends = int(toks[1]), int(toks[2])
-                except ValueError:  # _int names the bad one
+    handlers, ids, head = extra or {}, set(), [None, None]  # head: the last BASE, the first LIMITS
+
+    def scan(rows):
+        for lineno, toks in rows:
+            rec = toks[0].upper()
+            try:
+                if rec == branch_rec:
+                    if len(toks) != n_branch and len(toks) != n_branch + 1:
+                        raise CaseFormatError(f"line {lineno}: {branch_rec} takes {usage[1]}")
+                    limit = None
+                    if len(toks) > n_branch:
+                        limit = _num(toks[-1], lineno, "thermal limit")
+                        if not limit > 0:
+                            raise CaseFormatError(f"line {lineno}: thermal limit must be positive")
                     ends = _int(toks[1], lineno, "from bus"), _int(toks[2], lineno, "to bus")
-                branches.append(branch(*ends, *_reals(toks[3:n_branch], lineno, branch_reals), limit))
-            elif rec == bus_rec:
-                if len(toks) != n_bus:
-                    raise CaseFormatError(f"line {lineno}: {bus_rec} takes {usage[0]}")
-                bid = _int(toks[1], lineno, "bus id")
-                kind = _KINDS.get(toks[2].lower())
-                if kind is None:
-                    raise CaseFormatError(f"line {lineno}: unknown bus kind {toks[2]!r}")
-                if bid in raw_buses:
-                    raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
-                raw_buses[bid] = bus(bid, kind, *_reals(toks[3:], lineno, bus_reals))
-            elif rec == "BASE":
-                if len(toks) != 3:
-                    raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
-                base = _reals(toks[1:], lineno, ("base MVA", "base kV"))
-            elif rec == "LIMITS":
-                if len(toks) not in (3, 4, 5):
-                    raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
-                found = dict(zip(("v_min", "v_max", "theta_max", "eta"), _reals(toks[1:], lineno, ("limit",) * 4)))
-                limits = limits or found  # every record is checked; the first one counts
-            elif rec in handlers:
-                handlers[rec](toks, lineno)
-            else:
-                raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
-        except CaseFormatError:
-            raise
-        except ValueError as exc:  # a record's own check (Bus, Branch, ...) names no line
-            raise CaseFormatError(f"line {lineno}: {exc}") from None
-    if base is None:
-        raise CaseFormatError("missing BASE header")
-    if not raw_buses:
-        raise CaseFormatError("no BUS records")
-    n = len(raw_buses)
-    if sorted(raw_buses) != list(range(n)):
-        raise CaseFormatError("bus ids must be contiguous integers starting at 0")
+                    branch(*ends, *_reals(toks[3:n_branch], lineno, branch_reals), limit)
+                elif rec == bus_rec:
+                    if len(toks) != n_bus:
+                        raise CaseFormatError(f"line {lineno}: {bus_rec} takes {usage[0]}")
+                    bid = _int(toks[1], lineno, "bus id")
+                    kind = _KINDS.get(toks[2].lower())
+                    if kind is None:
+                        raise CaseFormatError(f"line {lineno}: unknown bus kind {toks[2]!r}")
+                    if bid in ids:
+                        raise CaseFormatError(f"line {lineno}: duplicate bus id {bid}")
+                    ids.add(bid)
+                    bus(bid, kind, *_reals(toks[3:], lineno, bus_reals))
+                elif rec == "BASE":
+                    if len(toks) != 3:
+                        raise CaseFormatError(f"line {lineno}: BASE takes <MVA> <kV>")
+                    head[0] = _reals(toks[1:], lineno, ("base MVA", "base kV"))
+                elif rec == "LIMITS":
+                    if len(toks) not in (3, 4, 5):
+                        raise CaseFormatError(f"line {lineno}: LIMITS takes <vmin> <vmax> [theta_max] [eta]")
+                    found = _reals(toks[1:], lineno, ("limit",) * 4)  # every record is checked; the first counts
+                    head[1] = head[1] or dict(zip(("v_min", "v_max", "theta_max", "eta"), found))
+                elif rec in handlers:
+                    handlers[rec](toks, lineno)
+                else:
+                    raise CaseFormatError(f"line {lineno}: unknown record {toks[0]!r}")
+            except CaseFormatError:
+                raise
+            except ValueError as exc:  # a record's own check (Bus, Branch, ...) names no line
+                raise CaseFormatError(f"line {lineno}: {exc}") from None
+
+    lines = _tokens(text)
+    recs = [toks[0].upper() if toks else "" for toks in lines]
     try:
-        return network(tuple(map(raw_buses.__getitem__, range(n))), tuple(branches), *base, limits)
+        scan([(i + 1, lines[i]) for i, rec in enumerate(recs) if rec and rec != bus_rec and rec != branch_rec])
+        bus_rows = [toks for toks, rec in zip(lines, recs) if rec == bus_rec]
+        branch_rows = [toks for toks, rec in zip(lines, recs) if rec == branch_rec]
+        cols = _columns(bus_rows, branch_rows, n_bus, n_branch, branch_faults)
+    except ValueError:  # a faulty header record, or a token that int() or float() refuses
+        cols = None
+    if cols is None or head[0] is None:  # the error path: every record in line order
+        scan((i + 1, toks) for i, toks in enumerate(lines) if toks)
+        if head[0] is None:
+            raise CaseFormatError("missing BASE header")
+        raise CaseFormatError("no BUS records" if not ids else "bus ids must be contiguous integers starting at 0")
+    try:
+        return network(*cols, *head)
     except TopologyError:
         raise
     except ValueError as exc:
         raise CaseFormatError(str(exc)) from None
 
 
+def _pairs(vals: np.ndarray) -> np.ndarray:
+    """Reals ``(2k, m)`` read as k (real, imag) pairs per column: the ``(m, k)`` complex array, bitwise."""
+    return np.ascontiguousarray(vals.T).view(complex)
+
+
 def parse_case(text: str) -> Network:
-    """Parse case-file content into a :class:`Network`.
+    """Parse case-file content straight into a :class:`Network`'s columns.
 
     See the module docstring for the format.  Raises
     :class:`CaseFormatError` for syntax problems and invariant violations
@@ -401,16 +487,18 @@ def parse_case(text: str) -> Network:
         bid = _int(toks[1], lineno, "bus id")
         shunt_records.append((lineno, bid, *_reals(toks[2:], lineno, ("g", "b"))))
 
-    def network(buses, branches, base_mva, base_kv, limits):
-        shunts = None
+    def network(slacks, gens, bus_vals, frm, to, branch_vals, limit, base, limits):
+        n, shunts = bus_vals.shape[1], None
         if shunt_records:
-            vec = [0j] * len(buses)
+            vec = [0j] * n
             for lineno, bid, g, b in shunt_records:
-                if not 0 <= bid < len(buses):
+                if not 0 <= bid < n:
                     raise CaseFormatError(f"line {lineno}: SHUNT references unknown bus {bid}")
                 vec[bid] += complex(g, b)
             shunts = tuple(vec)
-        return Network(buses, branches, base_mva, base_kv, shunts=shunts, case_limits=limits)
+        loads, z = _pairs(bus_vals[:2]).ravel(), _pairs(branch_vals).ravel()
+        return Network._from_columns(slacks, gens, bus_vals[2], frm, to, limit, loads, z, base_mva=base[0],
+                                     base_kv=base[1], shunts=shunts, case_limits=limits)
 
     return _read_case(
         text,
@@ -421,6 +509,7 @@ def parse_case(text: str) -> Network:
         bus=Bus,
         branch=Branch,
         network=network,
+        branch_faults=_branch_faults,
         extra={"SHUNT": shunt},
     )
 

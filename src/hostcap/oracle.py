@@ -317,15 +317,18 @@ def incremental_screening(
     non-slack bus at its scheduled (P, Q), and the ramp stops at the first
     constraint violation (or divergence).  The recorded value is the last
     feasible added generation, zero if the base case already violates.  A
-    candidate whose injection one step cannot move (the slack, or a step
-    below the float spacing of its load) is refused before any ramp.
+    candidate that is not a bus id, or whose injection one step cannot move
+    (the slack, or a step below the float spacing of its load), is refused
+    before any ramp.
     """
     if not 0 < step < math.inf:  # false for NaN too
         raise ValueError("step must be positive and finite")
     if candidates is None:
         candidates = network.gens.tolist()
-    p0 = np.array([-b.load_p for b in network.buses])
-    q0 = np.array([-b.load_q for b in network.buses])
+    unknown = [i for i in candidates if i not in range(network.n)]
+    if unknown:
+        raise ValueError(f"candidates {unknown} are not bus ids 0..{network.n - 1}")
+    p0, q0 = -network.loads.real, -network.loads.imag
     stuck = [i for i in candidates if i == network.slack_index or p0[i] + step == p0[i]]
     if stuck:
         raise ValueError(f"a step of {step!r} p.u. cannot move the injection of buses {stuck}")

@@ -14,9 +14,11 @@ the decoupled sequence model handles them as follows:
 * the three sequence voltages recombine into per-phase voltages, which are
   checked against the magnitude box per phase.
 
-The solver works on per-branch 3x3 blocks and on the arrays that
-:class:`ThreePhaseNetwork` derives once (``branch_from``, ``branch_to``,
-``loads``).  The dense 3n x 3n phase matrix (:func:`build_ybus3`), its
+The solver works on the read-only columns of :class:`ThreePhaseNetwork`
+(``branch_z`` blocks, ends, limits, ``loads``, ``lam``, slack and ``gens``),
+which :func:`parse_case3` fills straight from the text, and hands the
+positive-sequence network its columns too: no ``Bus``/``Branch`` record is
+built on the way.  The dense 3n x 3n phase matrix (:func:`build_ybus3`), its
 sequence transform (:func:`sequence_ybus`) and the dense nodal solve are the
 references that tests pin the tree path against.
 
@@ -31,8 +33,8 @@ single-phase format (see :mod:`hostcap.netmodel`)::
              each entry r x> [C]
 
 :func:`parse_case3` reads them with the single-phase format's reader, so
-both formats share their record checks and error messages, and
-:class:`ThreePhaseNetwork` checks bus ids, slack and branch ends as
+both formats share their column checks, record checks and error messages,
+and :class:`ThreePhaseNetwork` checks slack and branch ends as
 :class:`~hostcap.netmodel.Network` does.  A BRANCH3 block itself is checked
 by the solve, not by the parser.
 """
@@ -47,7 +49,7 @@ import numpy as np
 
 from .hccore import ConstraintSet, HCSolution, solve_hc, verify
 from .netmodel import Branch, Bus, BusKind, Network
-from .netmodel import _checked_ends, _read_case, _set_readonly  # one reader and network check for both formats
+from .netmodel import _branch_faults, _Columns, _kinds, _pairs, _read_case, _record_columns  # shared with Network
 
 __all__ = [
     "ALPHA",
@@ -156,7 +158,9 @@ class ThreePhaseBranch:
 
 
 @dataclass(frozen=True, eq=False)
-class ThreePhaseNetwork:
+class ThreePhaseNetwork(_Columns):
+    """A frozen three-phase network: read-only columns, with its records on demand, as on Network."""
+
     buses: tuple[ThreePhaseBus, ...]
     branches: tuple[ThreePhaseBranch, ...]
     base_mva: float = 1.0
@@ -164,18 +168,26 @@ class ThreePhaseNetwork:
     slack_vm: float = 1.0
     case_limits: dict[str, float] | None = None  # the LIMITS record, as on Network
     slack_index: int = field(init=False)
+    gens: np.ndarray = field(init=False, repr=False)  # ascending ids of the generator buses
+    lam: np.ndarray = field(init=False, repr=False)  # per-bus objective weight
+    loads: np.ndarray = field(init=False, repr=False)  # (n, 3) complex power per bus and phase
     branch_from: np.ndarray = field(init=False, repr=False)  # per branch, in branch order
     branch_to: np.ndarray = field(init=False, repr=False)
-    loads: np.ndarray = field(init=False, repr=False)  # (n, 3) complex power per bus and phase
+    branch_limit: np.ndarray = field(init=False, repr=False)  # +inf where unlimited
+    branch_z: np.ndarray = field(init=False, repr=False)  # (m, 3, 3) series impedance blocks
 
     def __post_init__(self) -> None:
-        root, frm, to = _checked_ends(self.buses, self.branches)
-        object.__setattr__(self, "slack_index", root)
-        _set_readonly(self, branch_from=frm, branch_to=to, loads=_phase_loads(self))
+        z = np.array([br.z for br in self.branches], dtype=complex).reshape(-1, 3, 3)
+        self._derive(*_record_columns(self.buses, self.branches), _phase_loads(self), z)
 
-    @property
-    def n(self) -> int:
-        return len(self.buses)
+    def _records(self) -> tuple[tuple[ThreePhaseBus, ...], tuple[ThreePhaseBranch, ...]]:
+        loads = [PhaseVector(*s) for s in self.loads.tolist()]
+        limits = [None if c == math.inf else c for c in self.branch_limit.tolist()]
+        ends = self.branch_from.tolist(), self.branch_to.tolist()
+        return (
+            tuple(map(ThreePhaseBus, range(self.n), _kinds(self), loads, self.lam.tolist())),
+            tuple(map(ThreePhaseBranch, *ends, np.array(self.branch_z), limits)),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,35 +219,40 @@ class UnbalancedSolution:
 
 
 def parse_case3(text: str) -> ThreePhaseNetwork:
-    """Parse the extended multi-phase case format (BUS3/BRANCH3 records)."""
+    """Parse the extended multi-phase case format (BUS3/BRANCH3 records) straight into the columns."""
+
+    def network(slacks, gens, bus_vals, frm, to, branch_vals, limit, base, limits):
+        # (r, x) pairs are complex128's memory layout
+        loads, z = _pairs(bus_vals[:6]), _pairs(branch_vals).reshape(-1, 3, 3)
+        return ThreePhaseNetwork._from_columns(slacks, gens, bus_vals[6], frm, to, limit, loads, z,
+                                               base_mva=base[0], base_kv=base[1], case_limits=limits)
+
     return _read_case(
         text,
         "3",
         bus_reals=("phase load",) * 6 + ("lambda",),
         branch_reals=("impedance",) * 18,
         usage=("<id> <kind> <Pa Qa Pb Qb Pc Qc> <lambda>", "<from> <to> + 18 impedance reals [C]"),
-        bus=lambda bid, kind, pa, qa, pb, qb, pc, qc, lam: ThreePhaseBus(
-            bid, kind, PhaseVector(complex(pa, qa), complex(pb, qb), complex(pc, qc)), lam
-        ),
-        # (r, x) pairs are complex128's memory layout
-        branch=lambda from_bus, to_bus, *reals: ThreePhaseBranch(
-            from_bus, to_bus, np.array(reals[:18]).view(complex).reshape(3, 3), reals[18]
-        ),
-        network=lambda buses, branches, base_mva, base_kv, limits: ThreePhaseNetwork(
-            buses, branches, base_mva, base_kv, case_limits=limits
-        ),
+        bus=lambda bid, kind, *reals: ThreePhaseBus(bid, kind, lam=reals[-1]),
+        branch=lambda *reals: None,  # a BRANCH3 block is checked by the solve
+        network=network,
     )
 
 
 def _branch_admittances(branches) -> np.ndarray:
     """Every branch's 3x3 series admittance block, stacked as (m, 3, 3).
 
-    A phase is present when its row or column of the impedance block is
+    ``branches`` is a network (its ``branch_z``) or a sequence of branch
+    records.  A phase is present when its row or column of the impedance block is
     nonzero; absent phases stay zero in the admittance.  Branches sharing a
     present-phase mask (at most seven) are inverted in one batched call,
     which gives each block bitwise what inverting it alone gives.
     """
-    z = np.array([br.z for br in branches], dtype=complex).reshape(-1, 3, 3)
+    if isinstance(branches, ThreePhaseNetwork):
+        z, ends = branches.branch_z, [*zip(branches.branch_from.tolist(), branches.branch_to.tolist())]
+    else:
+        z = np.array([br.z for br in branches], dtype=complex).reshape(-1, 3, 3)
+        ends = [(br.from_bus, br.to_bus) for br in branches]
     present = np.any(z != 0, axis=2) | np.any(z != 0, axis=1)  # (m, 3)
     masks = present @ np.array([1, 2, 4])
     y = np.zeros_like(z)
@@ -248,13 +265,11 @@ def _branch_admittances(branches) -> np.ndarray:
             y[block] = np.linalg.inv(z[block])
         except np.linalg.LinAlgError:
             # a batch names no culprit: report the first singular block in branch order
-            for br, zb, ph in zip(branches, z, present):
+            for (i, k), zb, ph in zip(ends, z, present):
                 try:
                     np.linalg.inv(zb[np.ix_(ph, ph)])
                 except np.linalg.LinAlgError:
-                    raise ValueError(
-                        f"branch {br.from_bus}-{br.to_bus}: singular impedance block"
-                    ) from None
+                    raise ValueError(f"branch {i}-{k}: singular impedance block") from None
             raise
     return y
 
@@ -299,7 +314,7 @@ def build_ybus3(net3: ThreePhaseNetwork) -> np.ndarray:
     the solver never builds it.
     """
     n, i, k = net3.n, net3.branch_from, net3.branch_to
-    yb = _branch_admittances(net3.branches)
+    yb = _branch_admittances(net3)
     y = np.zeros((n, 3, n, 3), dtype=complex)  # [i, phase_row, k, phase_col]: reshapes to a view
     # np.add.at adds in index order, so every block sums its branches in branch order
     rows, cols = np.column_stack([i, k, i, k]).ravel(), np.column_stack([k, i, i, k]).ravel()
@@ -336,26 +351,16 @@ def sequence_ybus(y_abc: np.ndarray) -> SequenceSystem:
 
 def _positive_network(net3: ThreePhaseNetwork, y1: np.ndarray) -> Network:
     """The single-phase network of branch admittances ``y1`` and the per-phase average loads of ``net3``."""
+    frm, to, limit = net3.branch_from, net3.branch_to, net3.branch_limit
     dead = np.flatnonzero(y1 == 0)
     if dead.size:
-        br = net3.branches[dead[0]]
-        raise ValueError(f"branch {br.from_bus}-{br.to_bus}: no positive-sequence path")
+        raise ValueError(f"branch {frm[dead[0]]}-{to[dead[0]]}: no positive-sequence path")
     z1 = 1.0 / y1
-    s_avg = net3.loads.mean(axis=1)
-    branches = tuple(
-        Branch(from_bus=br.from_bus, to_bus=br.to_bus, r=r, x=x, thermal_limit=br.thermal_limit)
-        for br, r, x in zip(net3.branches, z1.real.tolist(), z1.imag.tolist())
-    )
-    buses = tuple(
-        Bus(id=b.id, kind=b.kind, load_p=p, load_q=q, lam=b.lam)
-        for b, p, q in zip(net3.buses, s_avg.real.tolist(), s_avg.imag.tolist())
-    )
-    return Network(
-        buses=buses,
-        branches=branches,
-        base_mva=net3.base_mva,
-        base_kv=net3.base_kv,
-        slack_vm=net3.slack_vm,
+    for i in np.flatnonzero(_branch_faults(frm, to, z1.real, z1.imag, limit))[:1].tolist():
+        Branch(int(frm[i]), int(to[i]), float(z1.real[i]), float(z1.imag[i]), float(limit[i]))  # raises its message
+    return Network._from_columns(
+        [net3.slack_index], net3.gens, net3.lam, frm, to, limit, net3.loads.mean(axis=1), z1,
+        base_mva=net3.base_mva, base_kv=net3.base_kv, slack_vm=net3.slack_vm,
     )
 
 
@@ -365,7 +370,7 @@ def positive_sequence_network(net3: ThreePhaseNetwork) -> Network:
     Branch positive-sequence admittance is the (1,1) entry of the
     transformed 3x3 block; per-bus load is the per-phase average.
     """
-    y1 = (TRANSFORM_INV @ _branch_admittances(net3.branches) @ TRANSFORM)[:, 1, 1]
+    y1 = (TRANSFORM_INV @ _branch_admittances(net3) @ TRANSFORM)[:, 1, 1]
     return _positive_network(net3, y1)
 
 
@@ -464,7 +469,7 @@ def solve_unbalanced_hc(
     phase.  Works on per-branch 3x3 blocks: time and memory are O(n).
     """
     n, fb, tb = net3.n, net3.branch_from, net3.branch_to
-    ys = _branch_admittances(net3.branches)
+    ys = _branch_admittances(net3)
     coupling = _block_coupling(fb, tb, ys, n)
     if coupling > coupling_threshold:
         raise DecouplingError(
