@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Commands: solve | oracle | unbalanced | screen.  Reports are one line of
-JSON on stdout (sorted keys, so identical inputs give byte-identical output);
-diagnostics go to stderr.  Exit codes: 0 success, 1 input or usage error,
-2 infeasibility.  Timing sections are nondeterministic and therefore only
-included with --timings.  Constraint precedence: command-line flags beat a
-LIMITS line in the case file, which beats the built-in defaults.  Set
-HOSTCAP_LOG=DEBUG (or INFO/WARNING) for stderr logging.
+Commands: solve | oracle | unbalanced | screen.  A report is one line of JSON
+on stdout in report_schema.json's shape (``schema_version`` 3: a ``binding``
+lists each limit kind's elements under its name), keys sorted so identical
+inputs give identical bytes.  Diagnostics go to stderr.  Exit codes: 0 success,
+1 input or usage error, 2 infeasibility.  Only --timings adds the timings,
+which vary run to run.  Flags beat a LIMITS line in the case file, which beats
+the defaults.  HOSTCAP_LOG=DEBUG (or INFO/WARNING) logs to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -25,6 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .hccore import (
+    LIMITS,
     AdjustmentError,
     ConstraintSet,
     HCSolution,
@@ -78,11 +80,14 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
-def _binding_json(binding) -> list[dict]:
-    return [{"kind": kind, "element": int(el)} for kind, el in binding]
+def _binding_json(binding) -> dict[str, list[int]]:
+    out = {kind: [] for kind in LIMITS}  # each kind's elements stay ascending, as ``binding`` lists them
+    for kind, el in binding:
+        out[kind].append(el)
+    return out
 
 
-def _solution_json(sol: HCSolution) -> dict:
+def _solution_json(sol: HCSolution, binding: dict | None = None) -> dict:
     return {
         "hc_total": float(sol.hc_total),
         "stage": sol.stage,
@@ -90,13 +95,13 @@ def _solution_json(sol: HCSolution) -> dict:
         "angles": sol.state.angles.tolist(),
         "p": sol.injections.p.tolist(),
         "q": sol.injections.q.tolist(),
-        "binding": _binding_json(sol.binding),
+        "binding": _binding_json(sol.binding) if binding is None else binding,
     }
 
 
 def _base_report(command: str, path: str, text: str, c: ConstraintSet) -> dict:
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "tool_version": __version__,
         "command": command,
         "input": {"path": path, "digest": _digest(text)},
@@ -148,7 +153,7 @@ def cmd_solve(args) -> int:
             "hc_distributed": float(dist.hc_total),
         }
         final = dist
-    report["result"] = _solution_json(final)
+    report["result"] = _solution_json(final, report["stages"][-1]["binding"])  # final.binding is stages[-1]'s
     if args.timings:
         report["timings"] = timings
     _emit(report, args)
@@ -302,10 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process: it is read-only after build
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CaseFormatError, TopologyError, GridCapError, ValueError, OSError) as exc:

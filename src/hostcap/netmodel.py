@@ -367,7 +367,10 @@ def _columns(bus_rows, branch_rows, n_bus: int, n_branch: int, branch_faults):
     slacks, gens = (sorted(i for i, k in zip(ids, kinds) if k == kind) for kind in ("slack", "gen"))
     bus_vals = np.array([*map(float, chain.from_iterable(reals))]).reshape(n_bus - 3, n)[:, np.argsort(ids)]
     _, frm, to, *reals = [*zip(*branch_rows)][:n_branch] or [()] * n_branch  # zip stops at the shortest row
-    frm, to = np.array([*map(int, frm)], dtype=int), np.array([*map(int, to)], dtype=int)
+    try:
+        frm, to = np.array([*map(int, frm)], dtype=int), np.array([*map(int, to)], dtype=int)
+    except OverflowError:  # an end beyond int64 stays exact, so the network's bus id check names it
+        frm, to = np.array([*map(int, frm)], dtype=object), np.array([*map(int, to)], dtype=object)
     branch_vals = np.array([*map(float, chain.from_iterable(reals))]).reshape(n_branch - 3, m)
     limited = [i for i, k in enumerate(lens) if k > n_branch]
     limit = np.full(m, np.inf)

@@ -47,6 +47,7 @@ BRANCH_USAGE = "line 5: BRANCH takes <from> <to> <r> <x> [C]"
 BRANCH3_USAGE = "line 5: BRANCH3 takes <from> <to> + 18 impedance reals [C]"
 LIMITS_USAGE = "line 8: LIMITS takes <vmin> <vmax> [theta_max] [eta]"
 CONTIGUOUS = "bus ids must be contiguous integers starting at 0"
+HUGE = "99999999999999999999"  # beyond int64
 FMT, VAL, TOPO = CaseFormatError, ValueError, TopologyError
 
 ROWS = [
@@ -113,6 +114,14 @@ ROWS = [
     # the network
     ("unknown-branch-end", "case", {6: "BRANCH 1 9 0.01 0.02"}, FMT, "branch 1-9: unknown bus id"),
     ("unknown-branch3-end", "case3", {6: f"BRANCH3 9 2 {Z}"}, FMT, "branch 9-2: unknown bus id"),
+    # an end beyond int64 is named exactly, like any other unknown end
+    ("huge-branch-end", "case", {6: f"BRANCH 1 {HUGE} 0.01 0.02"}, FMT, f"branch 1-{HUGE}: unknown bus id"),
+    ("huge-negative-branch-end", "case", {6: f"BRANCH -{HUGE} 2 0.01 0.02"}, FMT, f"branch -{HUGE}-2: unknown bus id"),
+    ("huge-branch3-end", "case3", {6: f"BRANCH3 1 {HUGE} {Z}"}, FMT, f"branch 1-{HUGE}: unknown bus id"),
+    ("huge-negative-branch3-end", "case3", {6: f"BRANCH3 1 -{HUGE} {Z}"}, FMT, f"branch 1--{HUGE}: unknown bus id"),
+    ("huge-end-after-a-faulty-branch", "case", {5: "BRANCH 0 1 -0.01 0.02 1.5", 6: f"BRANCH 1 {HUGE} 0.01 0.02"},
+     FMT, "line 5: branch 0-1: negative resistance"),
+    ("huge-self-loop", "case", {6: f"BRANCH {HUGE} {HUGE} 0.01 0.02"}, FMT, f"line 6: branch {HUGE}-{HUGE}: self loop"),
     ("missing-slack", "case", {2: "BUS 0 load 0 0 0"}, FMT, "missing slack bus"),
     ("missing-slack3", "case3", {2: "BUS3 0 gen 0 0 0 0 0 0 0"}, FMT, "missing slack bus"),
     ("multiple-slacks", "case", {4: "BUS 2 slack 0.2 0.1 1"}, FMT, "multiple slack buses: [0, 2]"),
@@ -161,3 +170,13 @@ def test_negative_lambda_of_a_case3_is_an_input_error(tmp_path, capsys):
     case.write_text(edited(lines, {3: f"BUS3 1 gen {S3} -1"}))
     assert main(["unbalanced", str(case)]) == 1
     assert capsys.readouterr().err == "error: line 3: bus 1: lambda must be non-negative\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["huge", "huge-negative"])
+@pytest.mark.parametrize("fmt, command, branch", [("case", "solve", "BRANCH 0 {} 0.1 0.1"),
+                                                  ("case3", "unbalanced", "BRANCH3 0 {} " + Z)], ids=["case", "case3"])
+def test_a_branch_end_beyond_int64_is_an_input_error(tmp_path, capsys, fmt, command, branch, sign):
+    case = tmp_path / f"huge.{fmt}"
+    case.write_text(edited(FORMATS[fmt][1], {6: branch.format(sign + HUGE)}))
+    assert main([command, str(case)]) == 1
+    assert capsys.readouterr().err == f"error: branch 0-{sign}{HUGE}: unknown bus id\n"

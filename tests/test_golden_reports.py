@@ -2,8 +2,9 @@
 
 ``golden_reports.json`` holds one record per CLI run: its arguments, exit code,
 stderr and stdout (the parsed JSON report, or the parsed CSV rows).  Exit code,
-stderr, keys, strings, ints and binding lists compare exactly; floats within
-``FLOAT_ABS``.  Regenerate the file only for an intended change of output::
+stderr, keys, strings and ints (so every binding's per-kind element lists)
+compare exactly; floats within ``FLOAT_ABS``.  Regenerate the file only for an
+intended change of output::
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -20,6 +21,9 @@ from pathlib import Path
 import pytest
 
 from hostcap.cli import main
+from hostcap.hccore import _REPORT_GROUPS, LIMITS, ConstraintSet, solve_hc_stages
+from hostcap.netmodel import parse_case
+from hostcap.sequence import parse_case3, solve_unbalanced_hc
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
@@ -101,6 +105,35 @@ def test_cli_output_matches_golden(index):
     assert got["exit"] == want["exit"]
     assert got["stderr"] == want["stderr"]
     assert_same(got["stdout"], want["stdout"])
+
+
+REPORT_RUNS = [args for args in golden_runs() if args[0] != "screen"]
+
+
+def flattened(binding: dict) -> tuple:
+    """A report's per-kind binding back to ``HCSolution.binding``'s pairs, in hccore's report order."""
+    out = []
+    for group in _REPORT_GROUPS:  # per element, the kinds in the group's order
+        hits = sorted((el, j, kind) for j, kind in enumerate(group) for el in binding[kind])
+        out += [(kind, el) for el, _, kind in hits]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("args", REPORT_RUNS, ids=[" ".join(a) for a in REPORT_RUNS])
+def test_report_binding_is_the_solution_binding(args):
+    report = run(args)["stdout"]
+    c, text = ConstraintSet(**report["constraints"]), (ROOT / args[-1]).read_text()
+    if args[0] == "unbalanced":
+        pairs = [(report["result"]["binding"], solve_unbalanced_hc(parse_case3(text), c).positive)]
+    else:
+        stages = solve_hc_stages(parse_case(text), c)
+        assert len(report["stages"]) == len(stages)
+        pairs = [(s["binding"], sol) for s, sol in zip(report["stages"], stages)]
+        pairs.append((report["result"]["binding"], stages[-1]))  # a --cut result keeps the final stage's binding
+    for binding, sol in pairs:
+        assert sorted(binding) == sorted(LIMITS)
+        assert all(a < b for elements in binding.values() for a, b in zip(elements, elements[1:]))
+        assert flattened(binding) == sol.binding
 
 
 if __name__ == "__main__":
