@@ -116,6 +116,14 @@ def _branch_faults(frm, to, r, x, limit) -> np.ndarray:
     return (frm == to) | (r < 0) | ((r == 0) & (x == 0)) | ~(limit >= 0)
 
 
+def _ends(frm: list[int], to: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The branch end ids as arrays; an end beyond int64 keeps them exact, so the network's bus id check names it."""
+    try:
+        return np.array(frm, dtype=int), np.array(to, dtype=int)
+    except OverflowError:
+        return np.array(frm, dtype=object), np.array(to, dtype=object)
+
+
 def _record_columns(buses, branches) -> tuple:
     """The slack ids, generator ids, weights, branch ends and limits (+inf where unlimited) of records."""
     if [b.id for b in buses] != list(range(len(buses))):
@@ -124,8 +132,7 @@ def _record_columns(buses, branches) -> tuple:
         [b.id for b in buses if b.kind is BusKind.SLACK],
         [b.id for b in buses if b.kind is BusKind.GEN],
         np.array([b.lam for b in buses], dtype=float),
-        np.array([br.from_bus for br in branches], dtype=int),
-        np.array([br.to_bus for br in branches], dtype=int),
+        *_ends([br.from_bus for br in branches], [br.to_bus for br in branches]),
         np.array([np.inf if br.thermal_limit is None else br.thermal_limit for br in branches], dtype=float),
     )
 
@@ -367,10 +374,7 @@ def _columns(bus_rows, branch_rows, n_bus: int, n_branch: int, branch_faults):
     slacks, gens = (sorted(i for i, k in zip(ids, kinds) if k == kind) for kind in ("slack", "gen"))
     bus_vals = np.array([*map(float, chain.from_iterable(reals))]).reshape(n_bus - 3, n)[:, np.argsort(ids)]
     _, frm, to, *reals = [*zip(*branch_rows)][:n_branch] or [()] * n_branch  # zip stops at the shortest row
-    try:
-        frm, to = np.array([*map(int, frm)], dtype=int), np.array([*map(int, to)], dtype=int)
-    except OverflowError:  # an end beyond int64 stays exact, so the network's bus id check names it
-        frm, to = np.array([*map(int, frm)], dtype=object), np.array([*map(int, to)], dtype=object)
+    frm, to = _ends([*map(int, frm)], [*map(int, to)])
     branch_vals = np.array([*map(float, chain.from_iterable(reals))]).reshape(n_branch - 3, m)
     limited = [i for i, k in enumerate(lens) if k > n_branch]
     limit = np.full(m, np.inf)

@@ -1,16 +1,19 @@
-"""Brute-force verification tools for the constructive solver.
+"""Grid oracle and verification tools for the constructive solver.
 
-``grid_search_hc`` enumerates the feasible voltage box on a regular grid
-(magnitudes per free bus, angle differences per branch) and returns the
-constrained maximizer.  On a tree every injection is the bus's shunt term
+``grid_search_hc`` returns the exact constrained maximizer over a regular
+grid of the feasible voltage box (magnitudes per free bus, angle
+differences per branch).  On a tree every injection is the bus's shunt term
 plus one term per incident branch, each a function of one branch's
-(a_p, a_c, delta_c), so the objective, the thermal mask and the pf mask of
-every point are broadcast sums of small per-bus and per-branch tables; no
-point's phasors and no dense Ybus are formed.  Together with
-``grid_error_bound`` it certifies global optimality at small scale: the true
-optimum can exceed the best grid point by at most a Lipschitz term, so
-agreement of the pattern solver with the grid maximizer within that bound
-pins the solver to the global optimum.
+(a_p, a_c, delta_c), so the objective is a constant plus one table per
+branch, -inf where the branch's thermal limit fails; no point's phasors and
+no dense Ybus are formed.  Without a pf floor that sum is maximized by
+max-sum dynamic programming over the tree, in sum_b G_p G_c A table
+entries at any feeder size; with one, the pf mask couples each generator to
+all its neighbours, so every point is enumerated.  Together with
+``grid_error_bound`` it certifies global optimality: the true optimum can
+exceed the best grid point by at most a Lipschitz term, so agreement of the
+pattern solver with the grid maximizer within that bound pins the solver to
+the global optimum.
 
 ``pv_curve_surface`` samples the two-free-bus surface for the figure data,
 one branch-wise injection evaluation (``bus_injections``) per point.
@@ -62,12 +65,17 @@ MAX_STEPS = 100_000  # ramp steps per bus in incremental_screening
 
 
 class GridCapError(RuntimeError):
-    """The requested grid is larger than the configured point cap."""
+    """The requested grid needs more work than ``GridSpec.cap``; the message names the count."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid resolution: magnitude steps per bus, angle steps per branch."""
+    """Grid resolution: magnitude steps per bus, angle steps per branch.
+
+    ``cap`` bounds the work of :func:`grid_search_hc`: the branch table
+    entries sum_b G_p G_c A of its max-sum path (G_p = 1 under the slack),
+    or the points G^n A^n it enumerates under a pf floor.
+    """
 
     magnitude_steps: int = 101
     angle_steps: int = 11
@@ -113,33 +121,103 @@ def _axes(c: ConstraintSet, g: GridSpec):
 
 
 def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolution:
-    """Exhaustive grid search over the feasible voltage box.
+    """Exact maximizer of the weighted objective over the feasible grid.
 
     Magnitudes of every free bus run over the box (corners included);
-    branch angle differences run over [-theta_max, theta_max].  The feasible
-    maximizer of the weighted objective is returned.  Points are enumerated
-    in C order over (magnitudes, angles), so of several points with
-    bitwise-equal objectives the lexicographically smallest wins.  Points
-    that tie only mathematically (for instance +-delta across a branch
-    whose ends carry equal weights) are split by rounding.
+    branch angle differences run over [-theta_max, theta_max].  No point's
+    phasors are formed: the objective is a constant plus one table per
+    branch in (a_p, a_c, delta_c) (see :func:`_branch_terms`), -inf where
+    the branch's thermal limit fails.
 
-    No point's phasors are formed: every injection is a per-bus term plus
-    per-branch terms, so the objective, the thermal mask and the pf mask
-    are broadcast sums of small tables (see :func:`_grid_tables`) over
-    chunks of at most ``CHUNK_ROWS`` consecutive points.  The chosen point's
-    angles are rebuilt root-outward over the BFS order, each bus adding its
-    branch's delta to its parent's angle.
+    Without a pf floor (``c.eta is None``) that sum is maximized by max-sum
+    dynamic programming over the tree (:func:`_max_sum`), exact at any
+    feeder size for sum_b G_p G_c A table entries.  Each bus, given its
+    parent's magnitude index, takes the smallest (magnitude, angle) index
+    among its bitwise-equal maxima.  A pf floor couples a generator to all
+    its neighbours, which is no pairwise factor, so with ``c.eta`` set every
+    point is enumerated (:func:`_enumerate`) and of bitwise-equal totals the
+    first in C order over (magnitudes, angles) wins.  ``g.cap`` bounds the
+    work of whichever path runs: table entries, or enumerated points.
+
+    The chosen point's angles are rebuilt root-outward over the BFS order,
+    each bus adding its branch's delta to its parent's angle.
     """
+    return _grid_search(network, c, g, _max_sum if c.eta is None else _enumerate)
+
+
+def _grid_search(network: Network, c: ConstraintSet, g: GridSpec, search) -> HCSolution:
+    """The solution at the grid point ``search`` picks: per-bus magnitudes and branch deltas."""
     parents, _, order = bfs_tree(network)
+    mag_axis, ang_axis = _axes(c, g)
+    mags, deltas = search(network, c, g.cap, parents, order, mag_axis, ang_axis)
+    angles = np.zeros(network.n)
+    for b in order[1:]:
+        angles[b] = angles[parents[b]] + deltas[b]
+    state = VoltageState(magnitudes=mags, angles=angles)
+    return finalize_solution(network, c, state, stage="grid_oracle")
+
+
+def _max_sum(network: Network, c: ConstraintSet, cap: int, parents, order, mag_axis, ang_axis):
+    """Leaf-to-root max-sum over the tree, then a root-outward backtrack.
+
+    Bus b sends its parent p the message m_b(a_p) = max over (a_b, delta_b)
+    of T_b(a_p, a_b, delta_b) + sum of its children's m_d(a_b), where T_b is
+    the branch table of :func:`_branch_terms`; the slack's inbox then holds
+    the grid optimum less the slack's constant term.  Each table is built
+    in blocks of parent magnitudes, at most ``CHUNK_ROWS // 4`` entries
+    (or one parent row) each, so no temporary grows with the grid.
+    """
+    slack, n_mag, n_ang = network.slack_index, len(mag_axis), len(ang_axis)
+    width = np.where(parents == slack, 1, n_mag)  # parent magnitudes per bus
+    work = int(width[network.free].sum()) * n_mag * n_ang
+    if work > cap:
+        raise GridCapError(f"max-sum tables hold {work:.3e} entries, cap is {cap:.3e}")
+
+    branch_of = np.empty(network.n, dtype=int)
+    branch_of[network.branch_child] = np.arange(network.branch_child.size)
+    conj_diag = np.conj(_ybus_diagonal(network))
+    ac = mag_axis.reshape(1, -1, 1)
+    rot = np.exp(1j * ang_axis).reshape(1, 1, -1) if n_ang > 1 else None
+    rows = max(1, CHUNK_ROWS // 4 // (n_mag * n_ang))  # parent magnitudes per block
+    inbox = np.zeros((network.n, n_mag))  # per bus and own magnitude index: its children's messages
+    pick = np.zeros((network.n, n_mag), dtype=int)  # per bus and parent magnitude index: flat (a_b, delta_b) index
+    for b in reversed(order[1:]):
+        p = int(parents[b])
+        gain = inbox[b].reshape(1, -1, 1)
+        for start in range(0, width[b], rows):
+            vp = network.slack_vm if p == slack else mag_axis[start : start + rows].reshape(-1, 1, 1)
+            t = _branch_terms(network, int(branch_of[b]), p, b, vp, ac, rot, conj_diag)[0] + gain
+            t = t.reshape(t.shape[0], -1)
+            j = t.argmax(axis=1)  # the first of bitwise-equal maxima
+            stop = start + j.size
+            pick[b, start:stop] = j
+            inbox[p, start:stop] += t[np.arange(j.size), j]
+    if inbox[slack, 0] == -math.inf:
+        raise InfeasibleError("no feasible grid point under the given constraints")
+
+    at = np.zeros(network.n, dtype=int)  # magnitude index per bus
+    mags, deltas = np.full(network.n, network.slack_vm), np.zeros(network.n)
+    for b in order[1:]:
+        p = parents[b]
+        at[b], k = divmod(int(pick[b, 0 if p == slack else at[p]]), n_ang)
+        mags[b], deltas[b] = mag_axis[at[b]], ang_axis[k]
+    return mags, deltas
+
+
+def _enumerate(network: Network, c: ConstraintSet, cap: int, parents, order, mag_axis, ang_axis):
+    """Every grid point, scored in chunks of at most ``CHUNK_ROWS`` consecutive points.
+
+    The objective, the thermal mask and the pf mask of a chunk are
+    broadcast sums of the small tables of :func:`_grid_tables`.
+    """
     free = network.free.tolist()
     pos = {b: j for j, b in enumerate(free)}
     nf = len(free)
-    mag_axis, ang_axis = _axes(c, g)
     use_angles = len(ang_axis) > 1
     dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
     total = int(np.prod([float(d) for d in dims]))
-    if total > g.cap:
-        raise GridCapError(f"grid has {total:.3e} points, cap is {g.cap:.3e}")
+    if total > cap:
+        raise GridCapError(f"grid has {total:.3e} points, cap is {cap:.3e}")
 
     const, obj_tables, pf_tables = _grid_tables(network, c, pos, mag_axis, ang_axis)
     # a chunk is a run of whole blocks over the trailing dims ``dims[k:]``, so
@@ -176,11 +254,29 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     deltas = np.zeros(network.n)
     if use_angles:
         deltas[free] = ang_axis[list(idx[nf:])]
-    angles = np.zeros(network.n)
-    for b in order[1:]:
-        angles[b] = angles[parents[b]] + deltas[b]
-    state = VoltageState(magnitudes=mags, angles=angles)
-    return finalize_solution(network, c, state, stage="grid_oracle")
+    return mags, deltas
+
+
+def _branch_terms(network: Network, bi: int, p: int, b: int, vp, ab, rot, conj_diag):
+    """Objective table of branch ``bi`` from parent ``p`` to child ``b``, and the injections at its ends.
+
+    ``vp`` and ``ab`` are the end magnitudes and ``rot`` is e^{j delta_b} (None for delta 0),
+    broadcast against each other.  The branch is taken in p's angle frame,
+    V_p = a_p and V_b = a_b e^{j delta_b}, and carries the injections
+    s_p = V_p conj(-y V_b) at p and s_b = a_b^2 conj(Y_bb) + V_b conj(-y V_p)
+    at b, the child's own term included.  The objective is the
+    lam-weighted P of both ends, -inf where the thermal limit is violated.
+    """
+    y, lam = network.branch_y[bi], network.lam
+    vb = ab + 0j if rot is None else ab * rot
+    s_p = vp * np.conj(-y * vb)
+    s_b = ab**2 * conj_diag[b] + vb * np.conj(-y * vp)
+    obj = lam[p] * s_p.real + lam[b] * s_b.real
+    cap = network.branch_limit[bi]
+    if math.isfinite(cap):
+        m, tol = _thermal_margin(cap, abs(y) * np.abs(vp - vb))
+        obj = np.where(m < -tol, -math.inf, obj)
+    return obj, s_p, s_b
 
 
 def _grid_tables(network: Network, c: ConstraintSet, pos: dict, mag_axis, ang_axis):
@@ -188,15 +284,11 @@ def _grid_tables(network: Network, c: ConstraintSet, pos: dict, mag_axis, ang_ax
 
     Dim ``pos[b]`` is the magnitude of free bus b; unless the angle axis is
     the single 0, dim nf + ``pos[b]`` is the angle of branch (parent, b).
-    A branch (p, c) is taken in p's angle frame, V_p = a_p and
-    V_c = a_c e^{j delta_c}, and carries the injections V_p conj(-y V_c) at
-    p and V_c conj(-y V_p) at c; bus j adds a_j^2 conj(Y_jj).  Returns the slack's constant objective
-    term, one real table per branch (lam-weighted P of its ends plus its
-    child's own term, -inf where the branch's thermal limit is violated)
-    and, when ``c.eta`` is set, per generator the complex tables that sum
-    to its injection.
+    Returns the slack's constant objective term, one real table per branch
+    (:func:`_branch_terms`) and, when ``c.eta`` is set, per generator the
+    complex tables that sum to its injection.
     """
-    slack, lam, parents, nf = network.slack_index, network.lam, network.parents, len(pos)
+    slack, parents, nf = network.slack_index, network.parents, len(pos)
     rot = np.exp(1j * ang_axis) if len(ang_axis) > 1 else None  # the only exp: over the angle axis
     ndim = nf if rot is None else 2 * nf
 
@@ -209,21 +301,14 @@ def _grid_tables(network: Network, c: ConstraintSet, pos: dict, mag_axis, ang_ax
         return network.slack_vm if b == slack else along(mag_axis, pos[b])
 
     conj_diag = np.conj(_ybus_diagonal(network))
-    const = float(lam[slack] * network.slack_vm**2 * conj_diag[slack].real)
+    const = float(network.lam[slack] * network.slack_vm**2 * conj_diag[slack].real)
     gens = network.gens.tolist() if c.eta is not None else []
     injections: dict[int, list[np.ndarray]] = {b: [] for b in gens}
     obj_tables = []
     for bi, cb in enumerate(network.branch_child.tolist()):
-        p, y = int(parents[cb]), network.branch_y[bi]
-        vp = mag(p)
-        vc = mag(cb) + 0j if rot is None else mag(cb) * along(rot, nf + pos[cb])
-        s_p = vp * np.conj(-y * vc)
-        s_c = mag(cb) ** 2 * conj_diag[cb] + vc * np.conj(-y * vp)
-        obj = lam[p] * s_p.real + lam[cb] * s_c.real
-        cap = network.branch_limit[bi]
-        if math.isfinite(cap):
-            m, tol = _thermal_margin(cap, abs(y) * np.abs(vp - vc))
-            obj = np.where(m < -tol, -math.inf, obj)
+        p = int(parents[cb])
+        rot_b = None if rot is None else along(rot, nf + pos[cb])
+        obj, s_p, s_c = _branch_terms(network, bi, p, cb, mag(p), mag(cb), rot_b, conj_diag)
         obj_tables.append(obj)
         for b, s in ((p, s_p), (cb, s_c)):
             if b in injections:

@@ -6,11 +6,12 @@ message the parser must raise.  A row whose type is ``None`` pins an input
 that parses.
 """
 
+import numpy as np
 import pytest
 
 from hostcap.cli import main
-from hostcap.netmodel import CaseFormatError, TopologyError, parse_case
-from hostcap.sequence import parse_case3
+from hostcap.netmodel import Branch, Bus, BusKind, CaseFormatError, Network, TopologyError, parse_case
+from hostcap.sequence import ThreePhaseBranch, ThreePhaseBus, ThreePhaseNetwork, parse_case3
 
 S3 = "0.1 0.05 0.1 0.05 0.1 0.05"  # bus 1's phase loads
 Z = "0.03 0.06 0.01 0.02 0.01 0.02 0.01 0.02 0.03 0.06 0.01 0.02 0.01 0.02 0.01 0.02 0.03 0.06"
@@ -180,3 +181,17 @@ def test_a_branch_end_beyond_int64_is_an_input_error(tmp_path, capsys, fmt, comm
     case.write_text(edited(FORMATS[fmt][1], {6: branch.format(sign + HUGE)}))
     assert main([command, str(case)]) == 1
     assert capsys.readouterr().err == f"error: branch 0-{sign}{HUGE}: unknown bus id\n"
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["huge", "huge-negative"])
+@pytest.mark.parametrize("records", ["case", "case3"])
+def test_a_record_branch_end_beyond_int64_is_a_bus_id_error(records, sign):
+    end = int(sign + HUGE)
+    with pytest.raises(ValueError) as info:
+        if records == "case":
+            Network(buses=(Bus(0, BusKind.SLACK), Bus(1, BusKind.LOAD)), branches=(Branch(0, end, 0.1, 0.1),))
+        else:
+            ThreePhaseNetwork(buses=(ThreePhaseBus(0, BusKind.SLACK), ThreePhaseBus(1, BusKind.LOAD)),
+                              branches=(ThreePhaseBranch(0, end, np.eye(3)),))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"branch 0-{sign}{HUGE}: unknown bus id"

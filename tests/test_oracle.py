@@ -46,7 +46,20 @@ def test_four_bus_with_angles_matches_solver(net4):
 
 def test_grid_cap_rejected(net123):
     with pytest.raises(GridCapError):
-        grid_search_hc(net123, ConstraintSet(), GridSpec(magnitude_steps=11, cap=10**6))
+        grid_search_hc(net123, ConstraintSet(), GridSpec(magnitude_steps=101, cap=10**6))
+
+
+@pytest.mark.parametrize(
+    "eta, steps, message",
+    [
+        (None, 101, r"max-sum tables hold 1\.234e\+06 entries"),  # 101 + 121 * 101^2 table entries
+        (0.9, 11, r"grid has 1\.122e\+127 points"),  # with a pf floor every point is enumerated: 11^122
+    ],
+    ids=["max-sum", "enumerated"],
+)
+def test_grid_cap_names_the_count_it_caps(net123, eta, steps, message):
+    with pytest.raises(GridCapError, match=rf"^{message}, cap is 1\.000e\+06$"):
+        grid_search_hc(net123, ConstraintSet(eta=eta), GridSpec(magnitude_steps=steps, cap=10**6))
 
 
 def test_oracle_respects_thermal_filter():
