@@ -6,10 +6,12 @@ differences per branch).  On a tree every injection is the bus's shunt term
 plus one term per incident branch, each a function of one branch's
 (a_p, a_c, delta_c), so the objective is a constant plus one table per
 branch, -inf where the branch's thermal limit fails; no point's phasors and
-no dense Ybus are formed.  Without a pf floor that sum is maximized by
-max-sum dynamic programming over the tree, in sum_b G_p G_c A table
-entries at any feeder size; with one, the pf mask couples each generator to
-all its neighbours, so every point is enumerated.  Together with
+no dense Ybus are formed.  That sum is maximized by max-sum dynamic
+programming over the tree, in sum_b G_p G_c A table entries at any feeder
+size.  A pf floor only adds, per generator, a mask over its closed
+neighbourhood (its parent's magnitude, its own state, its children's
+states), which max-sum removes exactly on a tree at a cost exponential in
+that generator's child count only; no grid point is enumerated.  Together with
 ``grid_error_bound`` it certifies global optimality: the true optimum can
 exceed the best grid point by at most a Lipschitz term, so agreement of the
 pattern solver with the grid maximizer within that bound pins the solver to
@@ -72,9 +74,10 @@ class GridCapError(RuntimeError):
 class GridSpec:
     """Grid resolution: magnitude steps per bus, angle steps per branch.
 
-    ``cap`` bounds the work of :func:`grid_search_hc`: the branch table
-    entries sum_b G_p G_c A of its max-sum path (G_p = 1 under the slack),
-    or the points G^n A^n it enumerates under a pf floor.
+    ``cap`` bounds the work of :func:`grid_search_hc`: the entries of its
+    max-sum tables, sum_b G_p G A (G A)^k_b with G_p = 1 under the slack,
+    where k_b is bus b's child count if b is a generator under a pf floor
+    and 0 otherwise.
     """
 
     magnitude_steps: int = 101
@@ -127,29 +130,21 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     branch angle differences run over [-theta_max, theta_max].  No point's
     phasors are formed: the objective is a constant plus one table per
     branch in (a_p, a_c, delta_c) (see :func:`_branch_terms`), -inf where
-    the branch's thermal limit fails.
-
-    Without a pf floor (``c.eta is None``) that sum is maximized by max-sum
-    dynamic programming over the tree (:func:`_max_sum`), exact at any
-    feeder size for sum_b G_p G_c A table entries.  Each bus, given its
-    parent's magnitude index, takes the smallest (magnitude, angle) index
-    among its bitwise-equal maxima.  A pf floor couples a generator to all
-    its neighbours, which is no pairwise factor, so with ``c.eta`` set every
-    point is enumerated (:func:`_enumerate`) and of bitwise-equal totals the
-    first in C order over (magnitudes, angles) wins.  ``g.cap`` bounds the
-    work of whichever path runs: table entries, or enumerated points.
+    the branch's thermal limit fails, and a pf floor (``c.eta``) is a mask
+    over each generator's closed neighbourhood.  Max-sum dynamic
+    programming over the tree (:func:`_max_sum`) maximizes that sum
+    exactly, with or without a pf floor, and ``g.cap`` bounds its table
+    entries.  One tie rule holds with or without one: of the bitwise-equal
+    maxima of a bus's joint table, given the states its parent fixed, the
+    first in C order over (its magnitude, its angle, then the magnitude and
+    angle of each child its pf couples to it) wins.
 
     The chosen point's angles are rebuilt root-outward over the BFS order,
     each bus adding its branch's delta to its parent's angle.
     """
-    return _grid_search(network, c, g, _max_sum if c.eta is None else _enumerate)
-
-
-def _grid_search(network: Network, c: ConstraintSet, g: GridSpec, search) -> HCSolution:
-    """The solution at the grid point ``search`` picks: per-bus magnitudes and branch deltas."""
     parents, _, order = bfs_tree(network)
     mag_axis, ang_axis = _axes(c, g)
-    mags, deltas = search(network, c, g.cap, parents, order, mag_axis, ang_axis)
+    mags, deltas = _max_sum(network, c, g.cap, parents, order, mag_axis, ang_axis)
     angles = np.zeros(network.n)
     for b in order[1:]:
         angles[b] = angles[parents[b]] + deltas[b]
@@ -160,100 +155,123 @@ def _grid_search(network: Network, c: ConstraintSet, g: GridSpec, search) -> HCS
 def _max_sum(network: Network, c: ConstraintSet, cap: int, parents, order, mag_axis, ang_axis):
     """Leaf-to-root max-sum over the tree, then a root-outward backtrack.
 
-    Bus b sends its parent p the message m_b(a_p) = max over (a_b, delta_b)
-    of T_b(a_p, a_b, delta_b) + sum of its children's m_d(a_b), where T_b is
-    the branch table of :func:`_branch_terms`; the slack's inbox then holds
-    the grid optimum less the slack's constant term.  Each table is built
-    in blocks of parent magnitudes, at most ``CHUNK_ROWS // 4`` entries
-    (or one parent row) each, so no temporary grows with the grid.
+    Bus b's joint table J_b is its branch table T_b(a_p, a_b, delta_b) of
+    :func:`_branch_terms` plus its children's messages, and b sends its
+    parent p the message m_b(a_p), the max of J_b over the rest.  A pf
+    floor adds one factor per generator b, over its closed neighbourhood
+    only: b's injection is its parent branch's child-end term plus each
+    child branch's parent-end term.  So under one, b's children keep their
+    own state and send M_d(a_b, a_d, delta_d); J_b spans (a_p, a_b, delta_b,
+    then each child's (a_d, delta_d)), is -inf where b's pf fails, and keeps
+    (a_p, a_b, delta_b) in its message when p is a generator too.  Every
+    factor then lies in one joint table and the tables still form a tree, so
+    the slack's inbox holds the grid optimum less the slack's constant term.
+    b's injection terms are summed in branch order, as a sum over all
+    branches would add them, so each pf verdict is the same bit for bit.
+    Each J_b is built in blocks of at most ``CHUNK_ROWS // 4`` entries, so
+    no array grows with the grid beyond the G G A entries of an M_d.
     """
-    slack, n_mag, n_ang = network.slack_index, len(mag_axis), len(ang_axis)
-    width = np.where(parents == slack, 1, n_mag)  # parent magnitudes per bus
-    work = int(width[network.free].sum()) * n_mag * n_ang
+    slack, n, n_mag, n_ang = network.slack_index, network.n, len(mag_axis), len(ang_axis)
+    n_x = n_mag * n_ang  # (magnitude, angle) states of a bus, magnitude-major
+    coupled = np.zeros(n, dtype=bool)  # generators under a pf floor
+    if c.eta is not None:
+        coupled[network.gens] = True
+    kept: list[list[int]] = [[] for _ in range(n)]  # per coupled generator: its children
+    for b in order[1:]:
+        if coupled[parents[b]]:
+            kept[parents[b]].append(b)
+    # J_b's dims: (a_p, a_b, delta_b), then each kept child's flat state
+    dims = {b: (1 if parents[b] == slack else n_mag, n_mag, n_ang) + (n_x,) * len(kept[b]) for b in order[1:]}
+    work = sum(math.prod(d) for d in dims.values())
     if work > cap:
-        raise GridCapError(f"max-sum tables hold {work:.3e} entries, cap is {cap:.3e}")
+        count = f"{work:.3e}" if work < 1e308 else "over 1e308"  # a float cannot format a larger int
+        raise GridCapError(f"max-sum tables hold {count} entries, cap is {cap:.3e}")
 
-    branch_of = np.empty(network.n, dtype=int)
+    branch_of = np.empty(n, dtype=int)
     branch_of[network.branch_child] = np.arange(network.branch_child.size)
     conj_diag = np.conj(_ybus_diagonal(network))
-    ac = mag_axis.reshape(1, -1, 1)
-    rot = np.exp(1j * ang_axis).reshape(1, 1, -1) if n_ang > 1 else None
-    rows = max(1, CHUNK_ROWS // 4 // (n_mag * n_ang))  # parent magnitudes per block
-    inbox = np.zeros((network.n, n_mag))  # per bus and own magnitude index: its children's messages
-    pick = np.zeros((network.n, n_mag), dtype=int)  # per bus and parent magnitude index: flat (a_b, delta_b) index
+    rot = np.exp(1j * ang_axis) if n_ang > 1 else None
+    slack_axis = np.array([network.slack_vm])
+    block = max(1, CHUNK_ROWS // 4)
+    inbox = np.zeros((n, n_mag))  # per bus and own magnitude index: the messages m_d of its children
+    # per bus a generator keeps: M_b and b's parent-end injection term, over (a_p, flat state);
+    # per bus: the flat index of J_b's first maximum in each cell of its message
+    msg, up, pick = [None] * n, [None] * n, [None] * n
     for b in reversed(order[1:]):
-        p = int(parents[b])
-        gain = inbox[b].reshape(1, -1, 1)
-        for start in range(0, width[b], rows):
-            vp = network.slack_vm if p == slack else mag_axis[start : start + rows].reshape(-1, 1, 1)
-            t = _branch_terms(network, int(branch_of[b]), p, b, vp, ac, rot, conj_diag)[0] + gain
-            t = t.reshape(t.shape[0], -1)
+        p, d = int(parents[b]), dims[b]
+        vp_axis = slack_axis if p == slack else mag_axis
+        r = 3 if coupled[p] else 1  # leading dims of J_b that b's message keeps
+        k = r  # dims d[:k] are indexed per block, d[k:] broadcast whole
+        while math.prod(d[k:]) > block:
+            k += 1
+        unit, per_cell, units = math.prod(d[k:]), math.prod(d[r:k]), math.prod(d[:k])
+        rows = max(1, block // unit)
+        lead = (-1,) + (1,) * (len(d) - k)
+        trail = [(1,) * (1 + j) + (-1,) + (1,) * (len(d) - k - 1 - j) for j in range(len(d) - k)]
+        top, arg = np.full(math.prod(d[:r]), -math.inf), np.zeros(math.prod(d[:r]), dtype=int)
+        if r == 3:
+            up[b] = np.empty(top.size, dtype=complex)
+        start = 0
+        while start < units:  # a block never spans two cells that are split into blocks
+            stop = min(start + rows, units if per_cell == 1 else start - start % per_cell + per_cell)
+            ix = np.unravel_index(np.arange(start, stop), d[:k])
+
+            def along(values, dim):  # ``values`` of grid dim ``dim``, broadcast over the block
+                return values[ix[dim]].reshape(lead) if dim < k else values.reshape(trail[dim - k])
+
+            def pair(table, dim):  # a child's (a_b, state) table, its state at grid dim ``dim``
+                if dim < k:
+                    return table[ix[1], ix[dim]].reshape(lead)
+                shape = [1] * (1 + len(d) - k)
+                shape[0 if k > 1 else 1], shape[1 + dim - k] = -1, n_x
+                return (table[ix[1]] if k > 1 else table).reshape(shape)
+
+            ab = along(mag_axis, 1)
+            t, s_p, s = _branch_terms(network, int(branch_of[b]), p, b, along(vp_axis, 0), ab,
+                                      None if rot is None else along(rot, 2), conj_diag)
+            t = t + along(inbox[b], 1)
+            if r == 3:
+                up[b][np.arange(start, stop) // per_cell] = s_p.reshape(-1)
+            if coupled[b]:
+                terms = [(branch_of[b], s)]
+                for i, ch in enumerate(kept[b]):
+                    t = t + pair(msg[ch], 3 + i)
+                    terms.append((branch_of[ch], pair(up[ch], 3 + i)))
+                terms.sort(key=lambda e: e[0])
+                s = terms[0][1]
+                for _, s_ch in terms[1:]:
+                    s = s + s_ch
+                m, tol = _pf_margin(s, c.eta)
+                np.copyto(t, -math.inf, where=m < -tol)
+            t = t.reshape(stop - start, -1)
             j = t.argmax(axis=1)  # the first of bitwise-equal maxima
-            stop = start + j.size
-            pick[b, start:stop] = j
-            inbox[p, start:stop] += t[np.arange(j.size), j]
+            v = t[np.arange(j.size), j]
+            if per_cell == 1:
+                top[start:stop], arg[start:stop] = v, j
+            elif v.max() > top[start // per_cell]:  # strictly: an earlier block keeps a tie
+                i = int(v.argmax())
+                cell = start // per_cell
+                top[cell], arg[cell] = v[i], (start % per_cell + i) * unit + j[i]
+            start = stop
+        pick[b] = arg
+        if r == 1:
+            inbox[p, : d[0]] += top
+        else:
+            msg[b], up[b] = top.reshape(n_mag, n_x), up[b].reshape(n_mag, n_x)
     if inbox[slack, 0] == -math.inf:
         raise InfeasibleError("no feasible grid point under the given constraints")
 
-    at = np.zeros(network.n, dtype=int)  # magnitude index per bus
-    mags, deltas = np.full(network.n, network.slack_vm), np.zeros(network.n)
+    at = np.zeros(n, dtype=int)  # flat (magnitude, angle) index per bus
     for b in order[1:]:
         p = parents[b]
-        at[b], k = divmod(int(pick[b, 0 if p == slack else at[p]]), n_ang)
-        mags[b], deltas[b] = mag_axis[at[b]], ang_axis[k]
-    return mags, deltas
-
-
-def _enumerate(network: Network, c: ConstraintSet, cap: int, parents, order, mag_axis, ang_axis):
-    """Every grid point, scored in chunks of at most ``CHUNK_ROWS`` consecutive points.
-
-    The objective, the thermal mask and the pf mask of a chunk are
-    broadcast sums of the small tables of :func:`_grid_tables`.
-    """
-    free = network.free.tolist()
-    pos = {b: j for j, b in enumerate(free)}
-    nf = len(free)
-    use_angles = len(ang_axis) > 1
-    dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
-    total = int(np.prod([float(d) for d in dims]))
-    if total > cap:
-        raise GridCapError(f"grid has {total:.3e} points, cap is {cap:.3e}")
-
-    const, obj_tables, pf_tables = _grid_tables(network, c, pos, mag_axis, ang_axis)
-    # a chunk is a run of whole blocks over the trailing dims ``dims[k:]``, so
-    # every table reaches it as a broadcast over (block, *dims[k:])
-    k = len(dims)
-    while k > 0 and math.prod(dims[k - 1 :]) <= CHUNK_ROWS:
-        k -= 1
-    inner, outer = math.prod(dims[k:]), math.prod(dims[:k])
-    rows = max(1, CHUNK_ROWS // inner)
-
-    best_obj, best = -math.inf, 0
-    for start in range(0, outer, rows):  # chunk order keeps the first of equal maxima
-        stop = min(start + rows, outer)
-        ix = np.unravel_index(np.arange(start, stop), dims[:k]) if k else ()
-        obj = np.full((stop - start, *dims[k:]), const)
-        for table in obj_tables:
-            obj += _rows(table, ix)
-        for terms in pf_tables:
-            s = _rows(terms[0], ix)
-            for table in terms[1:]:
-                s = s + _rows(table, ix)
-            m, tol = _pf_margin(s, c.eta)
-            np.copyto(obj, -math.inf, where=m < -tol)
-        j = int(np.argmax(obj))
-        if obj.flat[j] > best_obj:
-            best_obj, best = float(obj.flat[j]), start * inner + j
-
-    if best_obj == -math.inf:
-        raise InfeasibleError("no feasible grid point under the given constraints")
-
-    idx = np.unravel_index(best, dims)
-    mags = np.full(network.n, network.slack_vm)
-    mags[free] = mag_axis[list(idx[:nf])]
-    deltas = np.zeros(network.n)
-    if use_angles:
-        deltas[free] = ang_axis[list(idx[nf:])]
+        a_p = 0 if p == slack else at[p] // n_ang
+        rest = int(pick[b][a_p * n_x + at[b] if coupled[p] else a_p])
+        for ch in reversed(kept[b]):
+            rest, at[ch] = divmod(rest, n_x)
+        if not coupled[p]:
+            at[b] = rest
+    mags, deltas = mag_axis[at // n_ang], ang_axis[at % n_ang]
+    mags[slack], deltas[slack] = network.slack_vm, 0.0
     return mags, deltas
 
 
@@ -277,51 +295,6 @@ def _branch_terms(network: Network, bi: int, p: int, b: int, vp, ab, rot, conj_d
         m, tol = _thermal_margin(cap, abs(y) * np.abs(vp - vb))
         obj = np.where(m < -tol, -math.inf, obj)
     return obj, s_p, s_b
-
-
-def _grid_tables(network: Network, c: ConstraintSet, pos: dict, mag_axis, ang_axis):
-    """Objective and pf tables of the grid, each broadcast over the grid's dims.
-
-    Dim ``pos[b]`` is the magnitude of free bus b; unless the angle axis is
-    the single 0, dim nf + ``pos[b]`` is the angle of branch (parent, b).
-    Returns the slack's constant objective term, one real table per branch
-    (:func:`_branch_terms`) and, when ``c.eta`` is set, per generator the
-    complex tables that sum to its injection.
-    """
-    slack, parents, nf = network.slack_index, network.parents, len(pos)
-    rot = np.exp(1j * ang_axis) if len(ang_axis) > 1 else None  # the only exp: over the angle axis
-    ndim = nf if rot is None else 2 * nf
-
-    def along(values, dim):  # ``values`` laid out along grid dim ``dim``
-        shape = [1] * ndim
-        shape[dim] = -1
-        return values.reshape(shape)
-
-    def mag(b):
-        return network.slack_vm if b == slack else along(mag_axis, pos[b])
-
-    conj_diag = np.conj(_ybus_diagonal(network))
-    const = float(network.lam[slack] * network.slack_vm**2 * conj_diag[slack].real)
-    gens = network.gens.tolist() if c.eta is not None else []
-    injections: dict[int, list[np.ndarray]] = {b: [] for b in gens}
-    obj_tables = []
-    for bi, cb in enumerate(network.branch_child.tolist()):
-        p = int(parents[cb])
-        rot_b = None if rot is None else along(rot, nf + pos[cb])
-        obj, s_p, s_c = _branch_terms(network, bi, p, cb, mag(p), mag(cb), rot_b, conj_diag)
-        obj_tables.append(obj)
-        for b, s in ((p, s_p), (cb, s_c)):
-            if b in injections:
-                injections[b].append(s)
-    return const, obj_tables, list(injections.values())
-
-
-def _rows(table: np.ndarray, ix: tuple) -> np.ndarray:
-    """``table`` at a chunk's indices ``ix`` into the leading dims, shaped (rows or 1, *trailing dims)."""
-    k = len(ix)
-    if all(d == 1 for d in table.shape[:k]):
-        return table.reshape(1, *table.shape[k:])
-    return table[tuple(i if d > 1 else 0 for i, d in zip(ix, table.shape))]
 
 
 def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:

@@ -6,6 +6,7 @@ kept only so that tests can compare the two:
 
 * ``tree_layout`` and ``grid_error_bound_loop``: the grid oracle's angle
   sums and resolution bound over the dense free-bus ancestor matrix;
+* ``grid_search_enumerated``: the grid oracle scoring every grid point;
 * ``dense_surface``: the two-free-bus surface from the dense Ybus;
 * ``v_re``/``v_im``, ``quadratic_form_total`` and ``polar_form_total``: the
   per-branch quadratic form of the total active injection;
@@ -27,6 +28,7 @@ from hostcap.hccore import (
     InfeasibleError,
     _branch_term,
     _curve_candidates,
+    _pf_margin,
     finalize_solution,
     verify,
 )
@@ -71,6 +73,122 @@ def grid_error_bound_loop(network, c, g) -> float:
             subtree = anc[:, pos[b]] > 0  # buses whose root path uses branch (parent(b), b)
             total += float(l_theta[np.array(free)[subtree]].sum()) * h_t / 2
     return total
+
+
+def grid_search_enumerated(network, c, g):
+    """``oracle.grid_search_hc`` by enumerating every grid point instead of max-sum.
+
+    The grid oracle's search before max-sum covered the pf floor: the
+    objective, the thermal mask and every generator's pf mask are scored at
+    every point, in chunks of at most ``oracle.CHUNK_ROWS`` consecutive
+    points, and of bitwise-equal totals the first in C order over
+    (magnitudes, angles) wins.  ``g.cap`` caps the points.
+    """
+    parents, _, order = bfs_tree(network)
+    mag_axis, ang_axis = oracle._axes(c, g)
+    mags, deltas = _enumerate(network, c, g.cap, mag_axis, ang_axis)
+    angles = np.zeros(network.n)
+    for b in order[1:]:
+        angles[b] = angles[parents[b]] + deltas[b]
+    return finalize_solution(network, c, VoltageState(magnitudes=mags, angles=angles), stage="grid_oracle")
+
+
+def _enumerate(network, c, cap, mag_axis, ang_axis):
+    """Every grid point, scored in chunks of at most ``oracle.CHUNK_ROWS`` consecutive points.
+
+    The objective, the thermal mask and the pf mask of a chunk are
+    broadcast sums of the small tables of :func:`_grid_tables`.
+    """
+    free = network.free.tolist()
+    pos = {b: j for j, b in enumerate(free)}
+    nf = len(free)
+    use_angles = len(ang_axis) > 1
+    dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
+    total = int(np.prod([float(d) for d in dims]))
+    if total > cap:
+        raise oracle.GridCapError(f"grid has {total:.3e} points, cap is {cap:.3e}")
+
+    const, obj_tables, pf_tables = _grid_tables(network, c, pos, mag_axis, ang_axis)
+    # a chunk is a run of whole blocks over the trailing dims ``dims[k:]``, so
+    # every table reaches it as a broadcast over (block, *dims[k:])
+    k = len(dims)
+    while k > 0 and math.prod(dims[k - 1 :]) <= oracle.CHUNK_ROWS:
+        k -= 1
+    inner, outer = math.prod(dims[k:]), math.prod(dims[:k])
+    rows = max(1, oracle.CHUNK_ROWS // inner)
+
+    best_obj, best = -math.inf, 0
+    for start in range(0, outer, rows):  # chunk order keeps the first of equal maxima
+        stop = min(start + rows, outer)
+        ix = np.unravel_index(np.arange(start, stop), dims[:k]) if k else ()
+        obj = np.full((stop - start, *dims[k:]), const)
+        for table in obj_tables:
+            obj += _rows(table, ix)
+        for terms in pf_tables:
+            s = _rows(terms[0], ix)
+            for table in terms[1:]:
+                s = s + _rows(table, ix)
+            m, tol = _pf_margin(s, c.eta)
+            np.copyto(obj, -math.inf, where=m < -tol)
+        j = int(np.argmax(obj))
+        if obj.flat[j] > best_obj:
+            best_obj, best = float(obj.flat[j]), start * inner + j
+
+    if best_obj == -math.inf:
+        raise InfeasibleError("no feasible grid point under the given constraints")
+
+    idx = np.unravel_index(best, dims)
+    mags = np.full(network.n, network.slack_vm)
+    mags[free] = mag_axis[list(idx[:nf])]
+    deltas = np.zeros(network.n)
+    if use_angles:
+        deltas[free] = ang_axis[list(idx[nf:])]
+    return mags, deltas
+
+
+def _grid_tables(network, c, pos: dict, mag_axis, ang_axis):
+    """Objective and pf tables of the grid, each broadcast over the grid's dims.
+
+    Dim ``pos[b]`` is the magnitude of free bus b; unless the angle axis is
+    the single 0, dim nf + ``pos[b]`` is the angle of branch (parent, b).
+    Returns the slack's constant objective term, one real table per branch
+    (``oracle._branch_terms``) and, when ``c.eta`` is set, per generator the
+    complex tables that sum to its injection.
+    """
+    slack, parents, nf = network.slack_index, network.parents, len(pos)
+    rot = np.exp(1j * ang_axis) if len(ang_axis) > 1 else None  # the only exp: over the angle axis
+    ndim = nf if rot is None else 2 * nf
+
+    def along(values, dim):  # ``values`` laid out along grid dim ``dim``
+        shape = [1] * ndim
+        shape[dim] = -1
+        return values.reshape(shape)
+
+    def mag(b):
+        return network.slack_vm if b == slack else along(mag_axis, pos[b])
+
+    conj_diag = np.conj(_ybus_diagonal(network))
+    const = float(network.lam[slack] * network.slack_vm**2 * conj_diag[slack].real)
+    gens = network.gens.tolist() if c.eta is not None else []
+    injections: dict[int, list[np.ndarray]] = {b: [] for b in gens}
+    obj_tables = []
+    for bi, cb in enumerate(network.branch_child.tolist()):
+        p = int(parents[cb])
+        rot_b = None if rot is None else along(rot, nf + pos[cb])
+        obj, s_p, s_c = oracle._branch_terms(network, bi, p, cb, mag(p), mag(cb), rot_b, conj_diag)
+        obj_tables.append(obj)
+        for b, s in ((p, s_p), (cb, s_c)):
+            if b in injections:
+                injections[b].append(s)
+    return const, obj_tables, list(injections.values())
+
+
+def _rows(table: np.ndarray, ix: tuple) -> np.ndarray:
+    """``table`` at a chunk's indices ``ix`` into the leading dims, shaped (rows or 1, *trailing dims)."""
+    k = len(ix)
+    if all(d == 1 for d in table.shape[:k]):
+        return table.reshape(1, *table.shape[k:])
+    return table[tuple(i if d > 1 else 0 for i, d in zip(ix, table.shape))]
 
 
 def dense_surface(network, c, g):

@@ -53,9 +53,9 @@ def test_grid_cap_rejected(net123):
     "eta, steps, message",
     [
         (None, 101, r"max-sum tables hold 1\.234e\+06 entries"),  # 101 + 121 * 101^2 table entries
-        (0.9, 11, r"grid has 1\.122e\+127 points"),  # with a pf floor every point is enumerated: 11^122
+        (0.9, 15, r"max-sum tables hold 1\.420e\+06 entries"),  # a generator with k children: G_p * 15^(k + 1)
     ],
-    ids=["max-sum", "enumerated"],
+    ids=["max-sum", "pf-floor"],
 )
 def test_grid_cap_names_the_count_it_caps(net123, eta, steps, message):
     with pytest.raises(GridCapError, match=rf"^{message}, cap is 1\.000e\+06$"):

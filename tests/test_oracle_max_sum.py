@@ -1,11 +1,11 @@
 """The grid oracle's max-sum path against enumeration and the pattern theorem.
 
 Without a pf floor ``grid_search_hc`` maximizes the sum of branch tables by
-max-sum dynamic programming over the tree.  Enumeration of every grid point,
-forced here through ``oracle._grid_search(..., oracle._enumerate)``, is its
-reference on small grids.  On thermal-free feeders the paper's pattern is a
-grid point of ``GridSpec(2, 3)`` and is proven optimal, so the DP must meet
-its HC at any size.
+max-sum dynamic programming over the tree.  Enumeration of every grid point
+(``reference.grid_search_enumerated``) is its reference on small grids.  On
+thermal-free feeders the paper's pattern is a grid point of
+``GridSpec(2, 3)`` and is proven optimal, so the DP must meet its HC at any
+size.
 """
 
 import sys
@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from hostcap import oracle
 from hostcap.hccore import ConstraintSet, InfeasibleError, solve_hc, solve_hc_stages, verify
 from hostcap.netmodel import parse_case
 from hostcap.oracle import GridSpec, grid_search_hc
 
 from conftest import FIXTURE_DIR, load_fixture
+from reference import grid_search_enumerated
 from test_oracle_tables import hand_made
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -52,7 +52,7 @@ def test_max_sum_matches_enumeration(source, theta):
     net, g = network_and_grid(source)
     c = ConstraintSet(theta_max=theta)
     try:
-        want = oracle._grid_search(net, c, g, oracle._enumerate)
+        want = grid_search_enumerated(net, c, g)
     except InfeasibleError:
         with pytest.raises(InfeasibleError, match="^no feasible grid point under the given constraints$"):
             grid_search_hc(net, c, g)
@@ -77,7 +77,7 @@ def test_max_sum_takes_the_smallest_index_of_a_tie():
     c, g = ConstraintSet(theta_max=0.1), GridSpec(7, 3)
     got = grid_search_hc(net, c, g)
     assert (got.state.magnitudes[2], got.state.angles[2]) == (0.95, -0.1)
-    want = oracle._grid_search(net, c, g, oracle._enumerate)
+    want = grid_search_enumerated(net, c, g)
     assert got.state.magnitudes.tolist() == want.state.magnitudes.tolist()
     assert got.state.angles.tolist() == want.state.angles.tolist()
 

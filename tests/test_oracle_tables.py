@@ -140,6 +140,8 @@ def test_zero_thermal_limit_is_infeasible():
         (load_fixture("4bus.case"), ConstraintSet(theta_max=0.1, eta=0.9)),
         (load_fixture("4bus_thermal.case"), ConstraintSet(theta_max=0.004)),
         (hand_made(), ConstraintSet(theta_max=0.1)),
+        # the hub: bus 1's pf couples it to buses 0, 2 and 3, so its one joint table spans the grid
+        (parse_case(make_feeder(4, 1, thermal=True, loads=True).text), ConstraintSet(theta_max=0.1, eta=0.9)),
     ],
 )
 def test_chunking_does_not_move_the_point(monkeypatch, net, c):
