@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import __version__
 from .hccore import (
-    LIMITS,
     AdjustmentError,
     ConstraintSet,
     HCSolution,
@@ -80,14 +79,7 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
-def _binding_json(binding) -> dict[str, list[int]]:
-    out = {kind: [] for kind in LIMITS}  # each kind's elements stay ascending, as ``binding`` lists them
-    for kind, el in binding:
-        out[kind].append(el)
-    return out
-
-
-def _solution_json(sol: HCSolution, binding: dict | None = None) -> dict:
+def _solution_json(sol: HCSolution) -> dict:
     return {
         "hc_total": float(sol.hc_total),
         "stage": sol.stage,
@@ -95,7 +87,7 @@ def _solution_json(sol: HCSolution, binding: dict | None = None) -> dict:
         "angles": sol.state.angles.tolist(),
         "p": sol.injections.p.tolist(),
         "q": sol.injections.q.tolist(),
-        "binding": _binding_json(sol.binding) if binding is None else binding,
+        "binding": sol.binding,
     }
 
 
@@ -136,7 +128,7 @@ def cmd_solve(args) -> int:
     stages = solve_hc_stages(net, c)
     mono_ms = (time.perf_counter() - t0) * 1000.0
     report["stages"] = [
-        {"stage": s.stage, "hc_total": float(s.hc_total), "binding": _binding_json(s.binding)}
+        {"stage": s.stage, "hc_total": float(s.hc_total), "binding": s.binding}
         for s in stages
     ]
     final = stages[-1]
@@ -153,7 +145,7 @@ def cmd_solve(args) -> int:
             "hc_distributed": float(dist.hc_total),
         }
         final = dist
-    report["result"] = _solution_json(final, report["stages"][-1]["binding"])  # final.binding is stages[-1]'s
+    report["result"] = _solution_json(final)
     if args.timings:
         report["timings"] = timings
     _emit(report, args)

@@ -114,12 +114,15 @@ class ConstraintSet:
 
 @dataclass(frozen=True, eq=False)
 class HCSolution:
-    """A feasible operating point with its weighted hosting capacity."""
+    """A feasible operating point with its weighted hosting capacity.
+
+    ``binding`` is the point's :meth:`Verdict.binding`, the object a report prints.
+    """
 
     state: VoltageState
     injections: InjectionProfile
     hc_total: float
-    binding: tuple[tuple[str, int], ...]
+    binding: dict[str, list[int]]
     stage: str
 
 
@@ -182,8 +185,6 @@ def power_factors(network: Network, inj: InjectionProfile) -> np.ndarray:
 # --- feasibility verifier ------------------------------------------------------
 
 LIMITS = ("v_max", "v_min", "theta", "thermal", "pf")
-# report order: per bus v_max then v_min, per branch theta then thermal, then pf per bus
-_REPORT_GROUPS = (("v_max", "v_min"), ("theta", "thermal"), ("pf",))
 
 
 class Verdict:
@@ -195,6 +196,8 @@ class Verdict:
     limit's unit (p.u. voltage, rad, p.u. current, |P|/|S|), negative outside
     it, +inf where the limit does not apply; a violation is a margin below
     minus the limit's ``TOL`` entry.  Limits are evaluated when first read.
+    At a single state, ``binding()`` and ``failures()`` map each limit in
+    ``LIMITS`` to its elements in ascending order.
     """
 
     def __init__(self, network: Network, c: ConstraintSet, v: np.ndarray, s: np.ndarray | None):
@@ -233,13 +236,15 @@ class Verdict:
             bad |= (m < -tol).any(axis=0)
         return ~bad
 
-    def failures(self) -> list[tuple[str, int]]:
-        """(limit, element) pairs violated at a single state, in report order."""
-        return _in_order(self.violated)
+    def failures(self) -> dict[str, list[int]]:
+        """Per limit in ``LIMITS``, the elements violated, ascending."""
+        parts = {limit: self._part(limit) for limit in LIMITS}
+        return {limit: elems[m < -tol].tolist() for limit, (elems, m, tol) in parts.items()}
 
-    def binding(self) -> tuple[tuple[str, int], ...]:
-        """(limit, element) pairs within ``TOL["binding"]`` of their bound, in report order."""
-        return tuple(_in_order(lambda k: self.margin(k) < TOL["binding"]))
+    def binding(self) -> dict[str, list[int]]:
+        """Per limit in ``LIMITS``, the elements within ``TOL["binding"]`` of their bound, ascending."""
+        parts = {limit: self._part(limit) for limit in LIMITS}
+        return {limit: elems[m < TOL["binding"]].tolist() for limit, (elems, m, _) in parts.items()}
 
     def _v_max(self):
         free = self.network.free
@@ -272,14 +277,6 @@ class Verdict:
         return (gen, *_pf_margin(s[gen], self.c.eta))
 
 
-def _in_order(mask_of) -> list[tuple[str, int]]:
-    out = []
-    for group in _REPORT_GROUPS:
-        hits = np.argwhere(np.stack([mask_of(k) for k in group], axis=-1)).tolist()
-        out.extend((group[j], elem) for elem, j in hits)
-    return out
-
-
 def verify(network: Network, c: ConstraintSet, v: np.ndarray, s: np.ndarray | None = None) -> Verdict:
     """Check phasors ``v`` and their injections ``s`` (summed per branch if omitted) against every limit."""
     return Verdict(network, c, v, s)
@@ -307,7 +304,7 @@ def finalize_solution(network: Network, c: ConstraintSet, state: VoltageState, s
 
 
 def _pattern_stage(network: Network, c: ConstraintSet) -> HCSolution:
-    """Optimal magnitude/angle pattern under ``c``.
+    """The magnitude/angle pattern under ``c`` (optimal only under :func:`solve_hc`'s conditions).
 
     Angles alternate 0 / min(pi, theta_max) by depth parity, shifted so the
     root (slack) sits at zero.  Non-root magnitudes alternate v_max (odd
@@ -567,8 +564,11 @@ def solve_hc_stages(network: Network, c: ConstraintSet) -> list[HCSolution]:
 def solve_hc(network: Network, c: ConstraintSet) -> HCSolution:
     """Hosting capacity under the full constraint set: the pipeline's last stage.
 
-    The pattern stages are the paper's proven optimum of the box/angle
-    problem.  After a thermal or power-factor correction the point is
-    constructive and verified, but not proven optimal.
+    The pattern stages solve the box/angle problem optimally only where
+    lambda is equal on every free bus, no SHUNT has g != 0, b (lambda_c -
+    lambda_slack) <= 0 on each branch at the slack (b its series
+    susceptance, c its other end) and theta_max <= pi/2; elsewhere the
+    pattern is constructive.  After a thermal or power-factor correction the
+    point is constructive and verified, but not proven optimal.
     """
     return solve_hc_stages(network, c)[-1]

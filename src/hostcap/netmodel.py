@@ -275,16 +275,6 @@ class Network(_Columns):
             tuple(map(Branch, *ends, z.real.tolist(), z.imag.tolist(), limits)),
         )
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-bus list of (neighbor id, branch index), sorted by neighbor."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for bi, (i, k) in enumerate(zip(self.branch_from.tolist(), self.branch_to.tolist())):
-            adj[i].append((k, bi))
-            adj[k].append((i, bi))
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def is_radial(self) -> bool:
         return self.branch_from.size == self.n - 1
 

@@ -11,11 +11,12 @@ programming over the tree, in sum_b G_p G_c A table entries at any feeder
 size.  A pf floor only adds, per generator, a mask over its closed
 neighbourhood (its parent's magnitude, its own state, its children's
 states), which max-sum removes exactly on a tree at a cost exponential in
-that generator's child count only; no grid point is enumerated.  Together with
-``grid_error_bound`` it certifies global optimality: the true optimum can
-exceed the best grid point by at most a Lipschitz term, so agreement of the
-pattern solver with the grid maximizer within that bound pins the solver to
-the global optimum.
+that generator's child count only; no grid point is enumerated.
+``grid_error_bound`` is a Lipschitz term by which the true optimum could
+exceed the best grid point, but only if the grid points near the optimum are
+feasible, which holds only without thermal and pf limits.  So the
+``agreement`` of the pattern solver with the grid maximizer within that bound
+(``hostcap oracle``) is no certificate of optimality.
 
 ``pv_curve_surface`` samples the two-free-bus surface for the figure data,
 one branch-wise injection evaluation (``bus_injections``) per point.
@@ -312,9 +313,11 @@ def grid_error_bound(network: Network, c: ConstraintSet, g: GridSpec) -> float:
       branch delta b shifts the angles of the whole subtree below it:
         L_db = sum over subtree buses m of L_tm
 
-    with Vm the box upper bound.  Deliberately conservative.  Summed over
-    the branches, each bus m lies in the subtree of every branch on its
-    path to the slack, so the angle terms total sum_m depth(m) * L_tm.
+    with Vm the box upper bound.  Deliberately conservative, but it assumes
+    the grid point nearest the optimum is feasible, which holds only without
+    thermal and pf limits.  Summed over the branches, each bus m lies in the
+    subtree of every branch on its path to the slack, so the angle terms
+    total sum_m depth(m) * L_tm.
     """
     _, depths, _ = bfs_tree(network)
     mag_axis, ang_axis = _axes(c, g)
@@ -373,7 +376,10 @@ def incremental_screening(
     Each candidate bus gets ``step`` p.u. of extra unity-pf injection per
     round on top of its load, the power flow is re-solved with every
     non-slack bus at its scheduled (P, Q), and the ramp stops at the first
-    constraint violation (or divergence).  The recorded value is the last
+    constraint violation (or divergence).  The status names the lowest bus
+    that breaks ``v_max`` or ``v_min`` (``v_max`` first at one bus), else the
+    lowest branch that breaks ``theta`` or ``thermal`` (``theta`` first at one
+    branch), else the ramped bus's own ``pf``.  The recorded value is the last
     feasible added generation, zero if the base case already violates.  A
     candidate that is not a bus id, or whose injection one step cannot move
     (the slack, or a step below the float spacing of its load), is refused
@@ -407,12 +413,19 @@ def incremental_screening(
                 status = "diverged"
                 break
             inj = evaluate_injections(network, state)
-            failures = verify(network, c, state.phasors, inj.s).failures()
-            # the ramped PV injects at unity pf; only its own band is checked here
-            violated = next((k for k, i in failures if k != "pf" or i == cand), None)
+            violated = _first_violation(verify(network, c, state.phasors, inj.s).failures(), cand)
             if violated is not None:
                 status = violated
                 break
             k += 1
         rows.append(ScreeningRow(bus=cand, hc=(k - 1) * step if k else 0.0, steps=max(k - 1, 0), status=status))
     return rows
+
+
+def _first_violation(failures: dict[str, list[int]], cand: int) -> str | None:
+    """The screening status of a step's failures; the ramped PV injects at unity pf, so only its own pf counts."""
+    for kinds in (("v_max", "v_min"), ("theta", "thermal")):
+        hit = [kind for kind in kinds if failures[kind]]
+        if hit:
+            return min(hit, key=lambda kind: failures[kind][0])  # min keeps the first of equal keys
+    return "pf" if cand in failures["pf"] else None

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from hostcap.cli import main
-from hostcap.hccore import _REPORT_GROUPS, LIMITS, ConstraintSet, solve_hc_stages
+from hostcap.hccore import LIMITS, ConstraintSet, solve_hc_stages
 from hostcap.netmodel import parse_case
 from hostcap.sequence import parse_case3, solve_unbalanced_hc
 
@@ -110,15 +110,6 @@ def test_cli_output_matches_golden(index):
 REPORT_RUNS = [args for args in golden_runs() if args[0] != "screen"]
 
 
-def flattened(binding: dict) -> tuple:
-    """A report's per-kind binding back to ``HCSolution.binding``'s pairs, in hccore's report order."""
-    out = []
-    for group in _REPORT_GROUPS:  # per element, the kinds in the group's order
-        hits = sorted((el, j, kind) for j, kind in enumerate(group) for el in binding[kind])
-        out += [(kind, el) for el, _, kind in hits]
-    return tuple(out)
-
-
 @pytest.mark.parametrize("args", REPORT_RUNS, ids=[" ".join(a) for a in REPORT_RUNS])
 def test_report_binding_is_the_solution_binding(args):
     report = run(args)["stdout"]
@@ -133,7 +124,7 @@ def test_report_binding_is_the_solution_binding(args):
     for binding, sol in pairs:
         assert sorted(binding) == sorted(LIMITS)
         assert all(a < b for elements in binding.values() for a, b in zip(elements, elements[1:]))
-        assert flattened(binding) == sol.binding
+        assert binding == sol.binding
 
 
 if __name__ == "__main__":

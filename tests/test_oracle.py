@@ -13,6 +13,7 @@ from hostcap.oracle import (
     incremental_screening,
     pv_curve_surface,
 )
+from hostcap.powerflow import VoltageState, solve_newton
 
 from conftest import load_fixture
 
@@ -179,6 +180,54 @@ def test_screening_refuses_a_ramp_that_cannot_move(net8, monkeypatch, bus, step)
     c = ConstraintSet(theta_max=0.05, eta=0.9)
     with pytest.raises(ValueError, match=rf"cannot move the injection of buses \[{bus}\]$"):
         incremental_screening(net8, c, step=step, candidates=[bus])
+
+
+# one generator behind one branch: its voltage, the branch angle and the branch current all
+# grow with the ramp, so each limit can be set between two steps of the ramp
+RAMP_CASE = """
+BASE 1 1
+BUS 0 slack 0 0 0
+BUS 1 gen 0 0 1
+BRANCH 0 1 0.05 0.05{limit}
+"""
+RAMP_STEP, BREAK_AT = 0.05, 4
+
+
+def ramp_values():
+    """|V1|, the branch angle and the branch current at each step of bus 1's ramp, stepped as screening steps it."""
+    net = parse_case(RAMP_CASE.format(limit=""))
+    p, q0 = np.zeros(net.n), np.zeros(net.n)
+    state = VoltageState(magnitudes=np.ones(net.n), angles=np.zeros(net.n))
+    out = []
+    for k in range(BREAK_AT + 1):
+        p[1] = k * RAMP_STEP
+        state = solve_newton(net, state, p, q0, pq=net.free)
+        v = state.phasors
+        out.append((abs(v[1]), abs(np.angle(v[0] * np.conj(v[1]))), abs(net.branch_y[0] * (v[0] - v[1]))))
+    return np.array(out)
+
+
+def between_the_last_two_steps(values):
+    assert (np.diff(values) > 0).all()  # so no earlier step breaks the limit
+    return float((values[BREAK_AT - 1] + values[BREAK_AT]) / 2)
+
+
+def test_screening_names_theta_before_thermal_on_one_branch():
+    # theta and the thermal limit of branch 0 both break at the same step; kinds ordered by name would give thermal
+    _, theta, current = ramp_values().T
+    net = parse_case(RAMP_CASE.format(limit=f" {between_the_last_two_steps(current)!r}"))
+    c = ConstraintSet(v_min=0.5, v_max=1.5, theta_max=between_the_last_two_steps(theta))
+    (row,) = incremental_screening(net, c, step=RAMP_STEP, candidates=[1])
+    assert (row.status, row.steps) == ("theta", BREAK_AT - 1)
+
+
+def test_screening_names_a_bus_before_a_branch_at_one_step():
+    # bus 1 breaks v_max and branch 0 breaks theta at the same step; kinds ordered by name would give theta
+    vm, theta, _ = ramp_values().T
+    net = parse_case(RAMP_CASE.format(limit=""))
+    c = ConstraintSet(v_min=0.5, v_max=between_the_last_two_steps(vm), theta_max=between_the_last_two_steps(theta))
+    (row,) = incremental_screening(net, c, step=RAMP_STEP, candidates=[1])
+    assert (row.status, row.steps) == ("v_max", BREAK_AT - 1)
 
 
 def test_screening_lower_bounds_eight_bus(net8):

@@ -12,9 +12,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hostcap.hccore import ConstraintSet, InfeasibleError, solve_hc_stages, verify
+from hostcap import oracle
+from hostcap.hccore import ConstraintSet, InfeasibleError, _pf_margin, solve_hc_stages, verify
 from hostcap.netmodel import parse_case
 from hostcap.oracle import GridCapError, GridSpec, grid_search_hc
 
@@ -140,3 +142,58 @@ def test_123bus_under_a_pf_floor_meets_the_pattern(eta):
     sol = grid_search_hc(net, c, GridSpec(5, 3))
     assert abs(sol.hc_total - pattern.hc_total) <= 1e-12 * abs(pattern.hc_total)
     assert verify(net, c, sol.state.phasors).ok()
+
+
+def hub_injection_terms(net, c, g, sol):
+    """Bus 1's injection terms at the grid point ``sol``, in branch order, as ``oracle._max_sum`` forms them.
+
+    Each comes from ``oracle._branch_terms`` over whole axes, in the branch's parent frame: the
+    child-end term of branch 0-1, then the parent-end term of each branch from bus 1 to a child.
+    """
+    mag_axis, ang_axis = oracle._axes(c, g)
+    rot, conj_diag = np.exp(1j * ang_axis), np.conj(oracle._ybus_diagonal(net))
+    mags, angles = sol.state.magnitudes, sol.state.angles
+    terms = []
+    for bi, child in enumerate(net.branch_child.tolist()):
+        p = int(net.parents[child])
+        if 1 not in (p, child):
+            continue
+        vp = np.full((1, 1, 1), net.slack_vm) if p == net.slack_index else mag_axis[:, None, None]
+        _, s_p, s_c = oracle._branch_terms(net, bi, p, child, vp, mag_axis[None, :, None], rot[None, None, :], conj_diag)
+        cell = (
+            0 if p == net.slack_index else int(np.argmin(abs(mag_axis - mags[p]))),
+            int(np.argmin(abs(mag_axis - mags[child]))),
+            int(np.argmin(abs(ang_axis - (angles[child] - angles[p])))),
+        )
+        terms.append((s_c if child == 1 else s_p)[cell])
+    return terms
+
+
+def assert_same_point(a, b):
+    assert a.hc_total.hex() == b.hc_total.hex()
+    assert a.state.magnitudes.tobytes() == b.state.magnitudes.tobytes()
+    assert a.state.angles.tobytes() == b.state.angles.tobytes()
+
+
+@pytest.mark.parametrize("seed, theta, grid", [(1, 0.004, (7, 3)), (3, 0.1, (9, 5)), (10, 0.004, (9, 5))])
+def test_a_generators_pf_terms_sum_in_branch_order(seed, theta, grid):
+    # At the eta .9 grid optimum of a hub, bus 1's three injection terms summed in reverse give a pf a
+    # few ulps lower than in branch order.  Raised to the largest eta at which the branch-order sum
+    # passes, the floor rejects the reverse sum while the optimum stays feasible, and so optimal: a DP
+    # that summed out of branch order would leave the enumeration's point
+    net, g, c = feeder(4, seed), GridSpec(*grid), ConstraintSet(theta_max=theta, eta=0.9)
+    assert net.parents.tolist() == [-1, 0, 1, 1]
+    opt = grid_search_hc(net, c, g)
+    first, mid, last = hub_injection_terms(net, c, g, opt)
+    pf, tol = _pf_margin(np.array([first + mid + last, last + mid + first]), 0.0)  # the margin over 0 is the pf
+    assert pf[1] < pf[0]
+    eta = float(pf[0] + tol)
+    while pf[0] - eta < -tol:
+        eta = float(np.nextafter(eta, 0.0))
+    while pf[0] - np.nextafter(eta, 1.0) >= -tol:
+        eta = float(np.nextafter(eta, 1.0))
+    assert pf[1] - eta < -tol
+    c = ConstraintSet(theta_max=theta, eta=eta)
+    want = grid_search_enumerated(net, c, g)
+    assert_same_point(want, opt)
+    assert_same_point(grid_search_hc(net, c, g), want)
