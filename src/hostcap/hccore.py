@@ -13,19 +13,21 @@ is maximised constructively rather than by a general NLP solver.  The stages:
    differences, every branch difference is set to +-min(pi, theta_max); the
    magnitude pattern switches from high-low to all-high once theta_max
    exceeds the critical angle arccos((v_max + v_min) / (2 v_max)).
-3. ``adjust_thermal`` — branches whose current exceeds their limit C get
-   their endpoint magnitudes moved onto the curve
+3. ``adjust_thermal`` — branches that :func:`verify` flags over their limit
+   C get their endpoint magnitudes moved onto the curve
    a^2 + b^2 - 2 a b cos(theta) = C^2 / (G^2 + B^2), which caps the branch's
    contribution at its maximum feasible value.
-4. ``adjust_power_factor`` — generator buses whose reactive injection
-   violates |Q| <= sqrt(1 - eta^2)/eta * |P| are switched to fixed-(P, Q)
-   at the bound and the voltages re-solved by a damped Newton iteration.
+4. ``adjust_power_factor`` — generator buses that :func:`verify` flags below
+   the pf floor are switched to fixed-(P, Q) on the edge of the band
+   |Q| <= sqrt(1 - eta^2)/eta * |P| and the voltages re-solved by a damped
+   Newton iteration.
 
 ``solve_hc`` runs the full pipeline and re-verifies thermal and power-factor
 feasibility jointly.  Every feasibility verdict, here and in the oracle
 and sequence modules, comes from :func:`verify` and its single tolerance
-table ``TOL``; the grid oracle's per-branch masks call the same margin
-helpers (``_thermal_margin``, ``_pf_margin``) as the verifier does.  The
+table ``TOL``.  A branch current is computed only in ``_thermal_margin``,
+which the verifier, the thermal stage and the grid oracle's per-branch
+masks all call; the oracle's pf masks call the verifier's ``_pf_margin``.  The
 construction assumes off-diagonal conductances are non-positive (true for
 any branch with r >= 0); networks violating that are refused rather than
 silently mis-solved.
@@ -76,7 +78,6 @@ TOL = {
     "theta": 1e-9,     # rad beyond theta_max on a branch
     "thermal": 1e-9,   # relative overshoot of |I| over C
     "pf": 1e-6,        # undershoot of |P|/|S| below eta
-    "q_band": 1e-9,    # p.u. of |Q| beyond the pf band before the pf stage converts a generator
     "s_floor": 1e-9,   # |S| at or below which a generator counts as unity pf
     "binding": 1e-6,   # margin below which a limit is reported binding
 }
@@ -162,12 +163,15 @@ def _power_factor(s: np.ndarray) -> np.ndarray:
     return pf
 
 
-def _thermal_margin(cap, current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margin of branch currents ``|I|`` under their limits ``cap``, and its tolerance.
+def _thermal_margin(y, cap, diff) -> tuple[np.ndarray, np.ndarray]:
+    """Margin of branch currents ``|y diff|`` under their limits ``cap``, and its tolerance.
 
-    A branch violates when the margin is below minus the tolerance, which is relative to C.
+    ``diff`` is V_from - V_to; this is the one place a branch current is computed.
+    ``np.multiply`` rounds numpy scalars as it rounds arrays (their ``*`` may not), so a
+    branch checked alone gets the whole-array verdict.  A branch violates when the margin
+    is below minus the tolerance, which is relative to C.
     """
-    return cap - current, TOL["thermal"] * cap
+    return cap - np.abs(np.multiply(diff, y)), TOL["thermal"] * cap
 
 
 def _pf_margin(s: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
@@ -264,9 +268,7 @@ class Verdict:
         idx = np.flatnonzero(np.isfinite(net.branch_limit))
         per_branch = (-1,) + (1,) * (self.v.ndim - 1)  # broadcast over the batch axes
         y, cap = net.branch_y[idx].reshape(per_branch), net.branch_limit[idx].reshape(per_branch)
-        diff = self.v[net.branch_from[idx]] - self.v[net.branch_to[idx]]
-        diff *= y
-        return (idx, *_thermal_margin(cap, np.abs(diff)))
+        return (idx, *_thermal_margin(y, cap, self.v[net.branch_from[idx]] - self.v[net.branch_to[idx]]))
 
     def _pf(self):
         if self.c.eta is None:
@@ -372,9 +374,9 @@ def _branch_term(a: float, b: float, cos_t: float) -> float:
 
 
 def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSolution:
-    """Clamp branches whose current exceeds their thermal limit.
+    """Clamp the branches that :func:`verify` flags over their thermal limit.
 
-    A violating branch has its endpoint magnitudes moved onto the constant-
+    A flagged branch has its endpoint magnitudes moved onto the constant-
     current curve a^2 + b^2 - 2ab cos(theta) = C^2/(G^2 + B^2) (angles keep
     the stage-2 pattern).  Branches are processed root-outward and the
     shallower endpoint is held at its current value while the deeper one is
@@ -388,11 +390,12 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
     exists for the held value, a scan over the held side (unless it is the
     slack) finds a feasible pair.
     Changes stay local to the branch endpoints; all limited branches are
-    re-checked until clean.  Each pass checks every limited branch in one
-    array expression, and a branch recomputes its current on its own only
-    after a clamp earlier in the pass moved one of its ends, so the points
-    are bit for bit those of checking every branch on its own.  A bus the
-    clamp does not move keeps its input float bit for bit.
+    re-checked by ``_thermal_margin`` until none is flagged, so the point
+    passes ``verify(...).ok("thermal")``.  Each pass checks every limited
+    branch in one array call, and a branch recomputes its margin on its own
+    only after a clamp earlier in the pass moved one of its ends, so the
+    points are bit for bit those of checking every branch on its own.  A bus
+    the clamp does not move keeps its input float bit for bit.
     """
     limited = np.flatnonzero(np.isfinite(network.branch_limit))
     if not limited.size:
@@ -403,8 +406,6 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
     # root-outward processing: the deeper endpoint is the one that moves
     limited = limited[np.argsort(np.maximum(depths[frm[limited]], depths[to[limited]]), kind="stable")]
     frm, to, y, cap = frm[limited], to[limited], network.branch_y[limited], network.branch_limit[limited]
-    yabs = np.hypot(y.real, y.imag)  # rounds as abs() of one complex does; np.abs of an array may not
-    over = cap * (1 + TOL["thermal"])
     mags = np.array(sol.state.magnitudes, dtype=float)
     angles = np.array(sol.state.angles, dtype=float)
     phase = np.exp(1j * angles)  # the angles never move in this stage
@@ -422,11 +423,11 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
         return [(a, b) for a in hold_vals for b in _curve_candidates(a, cos_t, kappa2, c)]
 
     max_passes = max(16, 2 * network.n)
-    branches = list(zip(frm.tolist(), to.tolist(), yabs.tolist(), cap.tolist(), over.tolist()))
+    branches = list(zip(frm.tolist(), to.tolist(), y.tolist(), cap.tolist()))
     for _pass in range(max_passes + 1):
         v = mags * phase
-        v = v[frm] - v[to]
-        flagged = ~(yabs * np.hypot(v.real, v.imag) <= over)
+        m, tol = _thermal_margin(y, cap, v[frm] - v[to])
+        flagged = m < -tol
         if not flagged.any():
             break
         if _pass == max_passes:
@@ -434,13 +435,14 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
                 f"thermal correction did not settle after {max_passes} passes"
             )
         moved: set[int] = set()  # buses a clamp in this pass has written
-        for (i, k, yk, ck, limit), hot in zip(branches, flagged.tolist()):
+        for (i, k, yk, ck), hot in zip(branches, flagged.tolist()):
             if i in moved or k in moved:
-                hot = not yk * abs(mags[i] * phase[i] - mags[k] * phase[k]) <= limit
+                m, tol = _thermal_margin(yk, ck, mags[i] * phase[i] - mags[k] * phase[k])
+                hot = m < -tol
             if not hot:
                 continue
             hold, move = (i, k) if depths[i] < depths[k] else (k, i)
-            kappa2 = (ck / yk) ** 2
+            kappa2 = (ck / abs(yk)) ** 2
             cos_t = math.cos(angles[i] - angles[k])
 
             options = clamp_pairs([float(mags[hold])], cos_t, kappa2)
@@ -470,36 +472,31 @@ def adjust_thermal(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSol
 def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> HCSolution:
     """Clamp generator reactive power to the pf band and re-solve voltages.
 
-    Violating generator buses are converted to PQ buses with P at its
-    pattern value and Q on the nearest band edge, which puts their power
-    factor exactly at eta.  A damped Newton iteration (damping 0.5, step
-    tolerance 1e-9 so the residual stays well inside the pf tolerance, at
-    most 100 iterations) re-solves the converted buses alone; every other
-    bus keeps its input magnitude and angle bit for bit.  Generators pushed
-    into violation by the re-solve are converted in later rounds.  The
+    The generators that :func:`verify` flags under the pf floor are
+    converted to PQ buses with P at its pattern value and Q on the nearest
+    band edge of :func:`pf_q_bounds`, which puts their power factor exactly
+    at eta.  A damped Newton iteration (damping 0.5, step tolerance 1e-9 so
+    the residual stays well inside the pf tolerance, at most 100
+    iterations) re-solves the converted buses alone; every other bus keeps
+    its input magnitude and angle bit for bit.  Generators that the verdict
+    at the re-solved point flags are converted in later rounds.  The
     re-solve normally moves magnitudes inward; driving one outside the box
     is reported as infeasible.
     """
     if c.eta is None:
         return sol
-    gens = network.gens.tolist()
-
-    def violations(inj: InjectionProfile, exclude: set[int]) -> list[int]:
-        return [
-            i for i in gens
-            if i not in exclude and abs(inj.q[i]) > pf_q_bounds(inj.p[i], c.eta)[1] + TOL["q_band"]
-        ]
-
-    converted: set[int] = set()
+    converted = np.zeros(network.n, dtype=bool)
     p_t, q_t = np.zeros(network.n), np.zeros(network.n)  # schedule of the converted buses
-    state = sol.state
-    inj = sol.injections
-    # each round converts at least one generator, so the rounds end
-    while newly := violations(inj, converted):
-        for i in newly:
-            p_t[i] = inj.p[i]
+    state, inj = sol.state, sol.injections
+    while True:  # each round converts at least one generator, so the rounds end
+        verdict = verify(network, c, state.phasors, inj.s)
+        newly = np.flatnonzero(verdict.violated("pf") & ~converted)
+        if not newly.size:
+            break
+        p_t[newly] = inj.p[newly]
+        for i in newly.tolist():
             q_t[i] = math.copysign(pf_q_bounds(float(inj.p[i]), c.eta)[1], inj.q[i])
-        converted.update(newly)
+        converted[newly] = True
         try:
             # damping 0.5 for robustness; the step tolerance must sit well
             # below the pf acceptance tolerance TOL["pf"], hence 1e-9
@@ -508,7 +505,7 @@ def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> 
                 state,
                 p_t,
                 q_t,
-                pq=sorted(converted),
+                pq=np.flatnonzero(converted).tolist(),
                 tol=1e-11,
                 max_iter=100,
                 damping=0.5,
@@ -517,10 +514,9 @@ def adjust_power_factor(network: Network, c: ConstraintSet, sol: HCSolution) -> 
         except PowerFlowError as exc:
             raise AdjustmentError(f"power-factor re-solve failed: {exc}") from exc
         inj = evaluate_injections(network, state)
-    if not converted:
+    if not converted.any():
         return sol
 
-    verdict = verify(network, c, state.phasors, inj.s)
     bad = np.flatnonzero(verdict.violated("v_max") | verdict.violated("v_min")).tolist()
     if bad:
         raise InfeasibleError(

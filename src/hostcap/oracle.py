@@ -6,12 +6,14 @@ differences per branch).  On a tree every injection is the bus's shunt term
 plus one term per incident branch, each a function of one branch's
 (a_p, a_c, delta_c), so the objective is a constant plus one table per
 branch, -inf where the branch's thermal limit fails; no point's phasors and
-no dense Ybus are formed.  That sum is maximized by max-sum dynamic
-programming over the tree, in sum_b G_p G_c A table entries at any feeder
-size.  A pf floor only adds, per generator, a mask over its closed
-neighbourhood (its parent's magnitude, its own state, its children's
-states), which max-sum removes exactly on a tree at a cost exponential in
-that generator's child count only; no grid point is enumerated.
+no dense Ybus are formed.  The thermal and pf masks call the margin helpers
+that ``verify`` calls (``_thermal_margin``, ``_pf_margin``), so they cannot
+drift from it.  That sum is maximized by max-sum dynamic programming over
+the tree, in sum_b G_p G_c A table entries at any feeder size.  A pf floor
+only adds, per generator, a mask over its closed neighbourhood (its
+parent's magnitude, its own state, its children's states), which max-sum
+removes exactly on a tree at a cost exponential in that generator's child
+count only; no grid point is enumerated.
 ``grid_error_bound`` is a Lipschitz term by which the true optimum could
 exceed the best grid point, but only if the grid points near the optimum are
 feasible, which holds only without thermal and pf limits.  So the
@@ -284,7 +286,7 @@ def _branch_terms(network: Network, bi: int, p: int, b: int, vp, ab, rot, conj_d
     V_p = a_p and V_b = a_b e^{j delta_b}, and carries the injections
     s_p = V_p conj(-y V_b) at p and s_b = a_b^2 conj(Y_bb) + V_b conj(-y V_p)
     at b, the child's own term included.  The objective is the
-    lam-weighted P of both ends, -inf where the thermal limit is violated.
+    lam-weighted P of both ends, -inf where ``_thermal_margin`` flags the thermal limit.
     """
     y, lam = network.branch_y[bi], network.lam
     vb = ab + 0j if rot is None else ab * rot
@@ -293,7 +295,7 @@ def _branch_terms(network: Network, bi: int, p: int, b: int, vp, ab, rot, conj_d
     obj = lam[p] * s_p.real + lam[b] * s_b.real
     cap = network.branch_limit[bi]
     if math.isfinite(cap):
-        m, tol = _thermal_margin(cap, abs(y) * np.abs(vp - vb))
+        m, tol = _thermal_margin(y, cap, vp - vb)
         obj = np.where(m < -tol, -math.inf, obj)
     return obj, s_p, s_b
 
