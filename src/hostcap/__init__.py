@@ -30,7 +30,6 @@ from .hccore import (
     solve_hc_stages,
     solve_voltage_only,
     solve_with_angle,
-    weighted_hc,
 )
 from .oracle import (
     GridCapError,

@@ -58,7 +58,6 @@ __all__ = [
     "Verdict",
     "InfeasibleError",
     "AdjustmentError",
-    "weighted_hc",
     "critical_angle",
     "solve_voltage_only",
     "solve_with_angle",
@@ -68,7 +67,6 @@ __all__ = [
     "solve_hc",
     "solve_hc_stages",
     "finalize_solution",
-    "power_factors",
     "verify",
 ]
 
@@ -127,12 +125,6 @@ class HCSolution:
     stage: str
 
 
-def weighted_hc(network: Network, state: VoltageState) -> float:
-    """Objective value sum_i lambda_i * P_i at the given state."""
-    inj = evaluate_injections(network, state)
-    return float(network.lam @ inj.p)
-
-
 def critical_angle(v_max: float, v_min: float) -> float:
     """Angle bound at which the optimal magnitude pattern switches.
 
@@ -155,6 +147,7 @@ def pf_q_bounds(p: float, eta: float) -> tuple[float, float]:
 
 
 def _power_factor(s: np.ndarray) -> np.ndarray:
+    """|P|/|S| of injections ``s``; an |S| at or below ``TOL["s_floor"]`` counts as unity."""
     mag = np.abs(s)
     pf = np.abs(s.real)
     floored = mag <= TOL["s_floor"]
@@ -179,11 +172,6 @@ def _pf_margin(s: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     pf = _power_factor(s)
     pf -= eta
     return pf, TOL["pf"]
-
-
-def power_factors(network: Network, inj: InjectionProfile) -> np.ndarray:
-    """|P|/|S| per bus; buses with |S| <= TOL["s_floor"] count as unity."""
-    return _power_factor(inj.s)
 
 
 # --- feasibility verifier ------------------------------------------------------

@@ -31,6 +31,7 @@ violation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,31 +68,33 @@ __all__ = [
 
 CHUNK_ROWS = 200_000
 MAX_STEPS = 100_000  # ramp steps per bus in incremental_screening
+# Bound on grid_search_hc's work: the entries of its max-sum tables,
+# sum_b G_p G A (G A)^k_b with G_p = 1 under the slack, where k_b is bus b's
+# child count if b is a generator under a pf floor and 0 otherwise.
+MAX_ENTRIES = 10**8
 
 
 class GridCapError(RuntimeError):
-    """The requested grid needs more work than ``GridSpec.cap``; the message names the count."""
+    """The requested grid's max-sum tables exceed ``MAX_ENTRIES``; the message names the count."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid resolution: magnitude steps per bus, angle steps per branch.
+    """Grid resolution: magnitude steps per bus, angle steps per branch, integers of at least 2.
 
-    ``cap`` bounds the work of :func:`grid_search_hc`: the entries of its
-    max-sum tables, sum_b G_p G A (G A)^k_b with G_p = 1 under the slack,
-    where k_b is bus b's child count if b is a generator under a pf floor
-    and 0 otherwise.
+    Any integer type passes (``operator.index``); floats, NaN included, are refused.
     """
 
     magnitude_steps: int = 101
     angle_steps: int = 11
-    cap: int = 10**8
 
     def __post_init__(self) -> None:
-        if self.magnitude_steps < 2 or self.angle_steps < 2:
+        try:
+            steps = [operator.index(self.magnitude_steps), operator.index(self.angle_steps)]
+        except TypeError:
+            raise ValueError("grid steps must be integers") from None
+        if min(steps) < 2:
             raise ValueError("grid steps must be at least 2")
-        if self.cap < 1:
-            raise ValueError("grid cap must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +139,8 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     the branch's thermal limit fails, and a pf floor (``c.eta``) is a mask
     over each generator's closed neighbourhood.  Max-sum dynamic
     programming over the tree (:func:`_max_sum`) maximizes that sum
-    exactly, with or without a pf floor, and ``g.cap`` bounds its table
-    entries.  One tie rule holds with or without one: of the bitwise-equal
+    exactly, with or without a pf floor, and ``MAX_ENTRIES`` bounds its
+    table entries.  One tie rule holds with or without one: of the bitwise-equal
     maxima of a bus's joint table, given the states its parent fixed, the
     first in C order over (its magnitude, its angle, then the magnitude and
     angle of each child its pf couples to it) wins.
@@ -147,7 +150,7 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     """
     parents, _, order = bfs_tree(network)
     mag_axis, ang_axis = _axes(c, g)
-    mags, deltas = _max_sum(network, c, g.cap, parents, order, mag_axis, ang_axis)
+    mags, deltas = _max_sum(network, c, parents, order, mag_axis, ang_axis)
     angles = np.zeros(network.n)
     for b in order[1:]:
         angles[b] = angles[parents[b]] + deltas[b]
@@ -155,7 +158,7 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     return finalize_solution(network, c, state, stage="grid_oracle")
 
 
-def _max_sum(network: Network, c: ConstraintSet, cap: int, parents, order, mag_axis, ang_axis):
+def _max_sum(network: Network, c: ConstraintSet, parents, order, mag_axis, ang_axis):
     """Leaf-to-root max-sum over the tree, then a root-outward backtrack.
 
     Bus b's joint table J_b is its branch table T_b(a_p, a_b, delta_b) of
@@ -186,9 +189,9 @@ def _max_sum(network: Network, c: ConstraintSet, cap: int, parents, order, mag_a
     # J_b's dims: (a_p, a_b, delta_b), then each kept child's flat state
     dims = {b: (1 if parents[b] == slack else n_mag, n_mag, n_ang) + (n_x,) * len(kept[b]) for b in order[1:]}
     work = sum(math.prod(d) for d in dims.values())
-    if work > cap:
+    if work > MAX_ENTRIES:
         count = f"{work:.3e}" if work < 1e308 else "over 1e308"  # a float cannot format a larger int
-        raise GridCapError(f"max-sum tables hold {count} entries, cap is {cap:.3e}")
+        raise GridCapError(f"max-sum tables hold {count} entries, cap is {MAX_ENTRIES:.3e}")
 
     branch_of = np.empty(n, dtype=int)
     branch_of[network.branch_child] = np.arange(network.branch_child.size)

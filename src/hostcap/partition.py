@@ -1,14 +1,15 @@
-"""Segment a radial feeder at cut buses and read the solve at them.
+"""Cut a radial feeder at buses and read the solve at them.
 
-A cut bus belongs to two subsystems: the one containing everything on its
-slack side and the one rooted at the cut itself (all its subtrees).  Because
-the optimal voltage pattern is known in closed form from the tree depths,
-every boundary voltage is fixed up front, so the segments need no
-coordination loop: neighbouring segments agree on a cut bus by construction.
-The partitioned solve therefore solves nothing: it reads the caller's one
-pipeline run at the cut buses.  Where no correction moved a cut bus from its
-pattern value the segments were independent; where one did, the result is
-the monolithic solve's (logged).  Of the hccore and powerflow imports, all
+A cut bus joins two segments: the one holding everything on its slack side
+and the one below it (all its subtrees), so ``k`` cuts make ``k + 1``
+segments.  Because the optimal voltage pattern is known in closed form from
+the tree depths, every boundary voltage is fixed up front, so the segments
+need no coordination loop: neighbouring segments agree on a cut bus by
+construction.  The partitioned solve therefore solves nothing: it reads the
+caller's one pipeline run at the cut buses.  Where no correction moved a
+cut bus from its pattern value the segments were independent; where one
+did, the result is the monolithic solve's (logged).  A :class:`Partition`
+keeps only its validated cuts.  Of the hccore and powerflow imports, all
 but ``HCSolution`` are here only for bench/tracer.py, which shims them.
 """
 
@@ -24,7 +25,6 @@ from .netmodel import Network, bfs_tree
 from .powerflow import evaluate_injections  # noqa: F401  likewise
 
 __all__ = [
-    "Subsystem",
     "Partition",
     "make_partition",
     "solve_distributed_hc",
@@ -34,28 +34,18 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Subsystem:
-    index: int
-    root: int                      # global bus id acting as this segment's slack
-    buses: tuple[int, ...]         # global ids, ascending
-    branch_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Partition:
-    subsystems: tuple[Subsystem, ...]
-    cut_buses: tuple[int, ...]
+    cut_buses: tuple[int, ...]  # ascending
 
 
 def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> Partition:
-    """Split the tree at the given cut buses into len(cuts)+1 subsystems.
+    """Check the cut buses of a radial network; the partition has len(cuts) + 1 segments.
 
-    Subsystem 0 is rooted at the slack and subsystem s >= 1 at the s-th cut
-    in BFS order.  A bus hands the branches to its children to the subsystem
-    it roots, or else to the one holding the branch to its own parent; a
-    subsystem's buses are its root and the far ends of its branches.
+    The network must be radial (``bfs_tree`` raises otherwise), and each cut
+    must be a distinct, known, non-slack bus that is no leaf, so that it
+    splits something off.
     """
-    parents, _, order = bfs_tree(network)
+    bfs_tree(network)
     cuts = list(dict.fromkeys(cut_buses))
     if len(cuts) != len(cut_buses):
         raise ValueError("duplicate cut buses")
@@ -67,20 +57,7 @@ def make_partition(network: Network, cut_buses: list[int] | tuple[int, ...]) -> 
             raise ValueError("cut on slack bus")
         if degree[b] < 2:
             raise ValueError(f"cut bus {b} is a leaf and splits nothing")
-
-    roots = [network.slack_index] + sorted(cuts, key=order.index)
-    rooted = {b: s for s, b in enumerate(roots)}
-    below = [0] * network.n  # the subsystem of the branches from each bus to its children
-    for b in order[1:]:  # root-outward, so a parent is settled before its children
-        below[b] = rooted.get(b, below[parents[b]])
-    child = network.branch_child
-    owner = np.asarray(below)[parents[child]]
-    subsystems = []
-    for s, root in enumerate(roots):
-        bis = np.flatnonzero(owner == s)
-        buses = tuple(sorted([root, *child[bis].tolist()]))
-        subsystems.append(Subsystem(index=s, root=root, buses=buses, branch_indices=tuple(bis.tolist())))
-    return Partition(subsystems=tuple(subsystems), cut_buses=tuple(sorted(cuts)))
+    return Partition(tuple(sorted(cuts)))
 
 
 _CORRECTION = {"thermal_adjusted": "thermal", "pf_adjusted": "power-factor"}

@@ -22,8 +22,9 @@ built on the way.  The dense 3n x 3n phase matrix (:func:`build_ybus3`), its
 sequence transform (:func:`sequence_ybus`) and the dense nodal solve are the
 references that tests pin the tree path against.
 
-Cross-sequence coupling (untransposed lines) is tolerated up to a relative
-threshold; beyond it the decoupled model is refused rather than trusted.
+Cross-sequence coupling (untransposed lines) is tolerated up to the
+relative ``COUPLING_LIMIT``; beyond it the decoupled model is refused rather
+than trusted.
 
 Extended case records, alongside the BASE and LIMITS records of the
 single-phase format (see :mod:`hostcap.netmodel`)::
@@ -68,7 +69,6 @@ __all__ = [
     "parse_case3",
     "build_ybus3",
     "sequence_ybus",
-    "positive_sequence_network",
     "solve_unbalanced_hc",
     "detect_scenario",
 ]
@@ -94,6 +94,7 @@ TRANSFORM_INV = np.array(
 ) / 3.0
 
 VOLTAGE_FLOOR = 1e-6  # p.u.; guards load-current division at dead phases
+COUPLING_LIMIT = 0.05  # worst relative cross-sequence coupling the decoupled model accepts
 
 
 class DecouplingError(RuntimeError):
@@ -239,20 +240,15 @@ def parse_case3(text: str) -> ThreePhaseNetwork:
     )
 
 
-def _branch_admittances(branches) -> np.ndarray:
-    """Every branch's 3x3 series admittance block, stacked as (m, 3, 3).
+def _branch_admittances(net3: ThreePhaseNetwork) -> np.ndarray:
+    """Every branch's 3x3 series admittance block from ``net3.branch_z``, stacked as (m, 3, 3).
 
-    ``branches`` is a network (its ``branch_z``) or a sequence of branch
-    records.  A phase is present when its row or column of the impedance block is
+    A phase is present when its row or column of the impedance block is
     nonzero; absent phases stay zero in the admittance.  Branches sharing a
     present-phase mask (at most seven) are inverted in one batched call,
     which gives each block bitwise what inverting it alone gives.
     """
-    if isinstance(branches, ThreePhaseNetwork):
-        z, ends = branches.branch_z, [*zip(branches.branch_from.tolist(), branches.branch_to.tolist())]
-    else:
-        z = np.array([br.z for br in branches], dtype=complex).reshape(-1, 3, 3)
-        ends = [(br.from_bus, br.to_bus) for br in branches]
+    z = net3.branch_z
     present = np.any(z != 0, axis=2) | np.any(z != 0, axis=1)  # (m, 3)
     masks = present @ np.array([1, 2, 4])
     y = np.zeros_like(z)
@@ -265,7 +261,7 @@ def _branch_admittances(branches) -> np.ndarray:
             y[block] = np.linalg.inv(z[block])
         except np.linalg.LinAlgError:
             # a batch names no culprit: report the first singular block in branch order
-            for (i, k), zb, ph in zip(ends, z, present):
+            for i, k, zb, ph in zip(net3.branch_from.tolist(), net3.branch_to.tolist(), z, present):
                 try:
                     np.linalg.inv(zb[np.ix_(ph, ph)])
                 except np.linalg.LinAlgError:
@@ -364,16 +360,6 @@ def _positive_network(net3: ThreePhaseNetwork, y1: np.ndarray) -> Network:
     )
 
 
-def positive_sequence_network(net3: ThreePhaseNetwork) -> Network:
-    """Single-phase equivalent: per-branch positive-sequence impedances.
-
-    Branch positive-sequence admittance is the (1,1) entry of the
-    transformed 3x3 block; per-bus load is the per-phase average.
-    """
-    y1 = (TRANSFORM_INV @ _branch_admittances(net3) @ TRANSFORM)[:, 1, 1]
-    return _positive_network(net3, y1)
-
-
 def _load_currents(s_ph: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """Sequence components (n, 3) of the load currents drawn at the balanced rotation of ``v1``.
 
@@ -456,25 +442,23 @@ def _tree_sweep(
     return np.array(v, dtype=complex)
 
 
-def solve_unbalanced_hc(
-    net3: ThreePhaseNetwork,
-    c: ConstraintSet,
-    coupling_threshold: float = 0.05,
-) -> UnbalancedSolution:
+def solve_unbalanced_hc(net3: ThreePhaseNetwork, c: ConstraintSet) -> UnbalancedSolution:
     """Hosting capacity of a multi-phase feeder via decoupled sequences.
 
-    Runs the single-phase pipeline on the positive-sequence network, solves
-    the zero/negative networks for the unbalance by sweeps over its BFS
-    tree, recombines to phase voltages and checks the magnitude box per
-    phase.  Works on per-branch 3x3 blocks: time and memory are O(n).
+    Refuses the decoupled model when the cross-sequence coupling exceeds
+    ``COUPLING_LIMIT``.  Runs the single-phase pipeline on the
+    positive-sequence network, solves the zero/negative networks for the
+    unbalance by sweeps over its BFS tree, recombines to phase voltages
+    with :func:`from_sequence` and checks the magnitude box per phase.
+    Works on per-branch 3x3 blocks: time and memory are O(n).
     """
     n, fb, tb = net3.n, net3.branch_from, net3.branch_to
     ys = _branch_admittances(net3)
     coupling = _block_coupling(fb, tb, ys, n)
-    if coupling > coupling_threshold:
+    if coupling > COUPLING_LIMIT:
         raise DecouplingError(
             f"cross-sequence coupling {coupling:.3f} exceeds threshold "
-            f"{coupling_threshold:.3f}; decoupled model refused",
+            f"{COUPLING_LIMIT:.3f}; decoupled model refused",
             coupling=coupling,
         )
     method = detect_scenario(net3, coupling)
@@ -495,7 +479,7 @@ def solve_unbalanced_hc(
         y_up[pos_net.branch_child] = y012[:, m, m]
         sweeps.append(_tree_sweep(pos_net.parents, pos_net.order, y_up, -i_seq[:, m] - cross[:, col], label))
     v0, v2 = sweeps
-    v_abc = np.stack([v0, v1, v2], axis=1) @ TRANSFORM.T
+    v_abc = from_sequence(np.stack([v0, v1, v2], axis=1))
     # one row of bus phasors per phase; only the box family applies per phase
     per_phase = verify(pos_net, c, v_abc.T)
     outside = (per_phase.violated("v_max") | per_phase.violated("v_min")).T

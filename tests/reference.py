@@ -10,6 +10,8 @@ kept only so that tests can compare the two:
 * ``dense_surface``: the two-free-bus surface from the dense Ybus;
 * ``v_re``/``v_im``, ``quadratic_form_total`` and ``polar_form_total``: the
   per-branch quadratic form of the total active injection;
+* ``positive_sequence_network``: the dense pipeline's positive-sequence
+  network, from each branch's whole transformed 3x3 block;
 * ``unbalance_currents``: the zero/negative-sequence sources from the dense
   sequence cross blocks of ``sequence_ybus``;
 * ``adjust_thermal``: the thermal stage checking one branch at a time and
@@ -34,7 +36,14 @@ from hostcap.hccore import (
 )
 from hostcap.netmodel import bfs_tree, build_ybus
 from hostcap.powerflow import VoltageState, _ybus_diagonal, bus_injections
-from hostcap.sequence import _load_currents, _phase_loads
+from hostcap.sequence import (
+    TRANSFORM,
+    TRANSFORM_INV,
+    _branch_admittances,
+    _load_currents,
+    _phase_loads,
+    _positive_network,
+)
 
 
 def tree_layout(network):
@@ -82,18 +91,18 @@ def grid_search_enumerated(network, c, g):
     objective, the thermal mask and every generator's pf mask are scored at
     every point, in chunks of at most ``oracle.CHUNK_ROWS`` consecutive
     points, and of bitwise-equal totals the first in C order over
-    (magnitudes, angles) wins.  ``g.cap`` caps the points.
+    (magnitudes, angles) wins.  ``oracle.MAX_ENTRIES`` caps the points.
     """
     parents, _, order = bfs_tree(network)
     mag_axis, ang_axis = oracle._axes(c, g)
-    mags, deltas = _enumerate(network, c, g.cap, mag_axis, ang_axis)
+    mags, deltas = _enumerate(network, c, mag_axis, ang_axis)
     angles = np.zeros(network.n)
     for b in order[1:]:
         angles[b] = angles[parents[b]] + deltas[b]
     return finalize_solution(network, c, VoltageState(magnitudes=mags, angles=angles), stage="grid_oracle")
 
 
-def _enumerate(network, c, cap, mag_axis, ang_axis):
+def _enumerate(network, c, mag_axis, ang_axis):
     """Every grid point, scored in chunks of at most ``oracle.CHUNK_ROWS`` consecutive points.
 
     The objective, the thermal mask and the pf mask of a chunk are
@@ -105,8 +114,8 @@ def _enumerate(network, c, cap, mag_axis, ang_axis):
     use_angles = len(ang_axis) > 1
     dims = [len(mag_axis)] * nf + ([len(ang_axis)] * nf if use_angles else [])
     total = int(np.prod([float(d) for d in dims]))
-    if total > cap:
-        raise oracle.GridCapError(f"grid has {total:.3e} points, cap is {cap:.3e}")
+    if total > oracle.MAX_ENTRIES:
+        raise oracle.GridCapError(f"grid has {total:.3e} points, cap is {oracle.MAX_ENTRIES:.3e}")
 
     const, obj_tables, pf_tables = _grid_tables(network, c, pos, mag_axis, ang_axis)
     # a chunk is a run of whole blocks over the trailing dims ``dims[k:]``, so
@@ -240,6 +249,16 @@ def polar_form_total(network, state) -> float:
     i, k = network.branch_from, network.branch_to
     a, b = m[i], m[k]
     return float(network.branch_y.real @ (a * a + b * b - 2 * a * b * np.cos(t[i] - t[k])))
+
+
+def positive_sequence_network(net3):
+    """Single-phase equivalent: per-branch positive-sequence impedances.
+
+    Branch positive-sequence admittance is the (1,1) entry of the
+    transformed 3x3 block; per-bus load is the per-phase average.
+    """
+    y1 = (TRANSFORM_INV @ _branch_admittances(net3) @ TRANSFORM)[:, 1, 1]
+    return _positive_network(net3, y1)
 
 
 def unbalance_currents(net3, seq, state) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ import pytest
 
 from hostcap.hccore import (
     ConstraintSet,
+    _power_factor,
     critical_angle,
-    power_factors,
     solve_hc,
     solve_hc_stages,
     solve_voltage_only,
@@ -169,7 +169,7 @@ def test_thermal_and_pf_feasibility():
             assert verify(net, c, sol.state.phasors).ok("thermal"), name
             if c.eta is not None:
                 gens = [b.id for b in net.buses if b.kind is BusKind.GEN]
-                assert power_factors(net, sol.injections)[gens].min() >= c.eta - 1e-6, name
+                assert _power_factor(sol.injections.s)[gens].min() >= c.eta - 1e-6, name
         # thermal and pf binding at once on a limited variant of the pf fixture
         net = load_fixture("8bus_pf.case")
         branches = list(net.branches)
@@ -179,7 +179,7 @@ def test_thermal_and_pf_feasibility():
         sol = solve_hc(net, c)
         assert verify(net, c, sol.state.phasors).ok("thermal")
         gens = [b.id for b in net.buses if b.kind is BusKind.GEN]
-        assert power_factors(net, sol.injections)[gens].min() >= c.eta - 1e-6
+        assert _power_factor(sol.injections.s)[gens].min() >= c.eta - 1e-6
 
 
 def test_sequence_consistency():

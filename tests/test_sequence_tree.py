@@ -25,13 +25,12 @@ from hostcap.sequence import (
     build_ybus3,
     detect_scenario,
     parse_case3,
-    positive_sequence_network,
     sequence_ybus,
     solve_unbalanced_hc,
 )
 
 from conftest import FIXTURE_DIR, fixture_text
-from reference import unbalance_currents
+from reference import positive_sequence_network, unbalance_currents
 from test_sequence import absent_phase_net3, balanced_branch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -77,12 +76,13 @@ def dense_solve(net3, c, threshold):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_tree_solve_matches_the_dense_pipeline(name):
+def test_tree_solve_matches_the_dense_pipeline(name, monkeypatch):
     net3, c = CASES[name](), ConstraintSet()
     # the absent-phase case couples its sequences too strongly for the default threshold
     threshold = 1.0 if name == "absent_phase" else 0.05
     ref = dense_solve(net3, c, threshold)
-    sol = solve_unbalanced_hc(net3, c, coupling_threshold=threshold)
+    monkeypatch.setattr("hostcap.sequence.COUPLING_LIMIT", threshold)
+    sol = solve_unbalanced_hc(net3, c)
     scale = np.abs(sol.v_abc).max()
     assert np.abs(sol.v0 - ref["v0"]).max() <= 1e-10 * scale
     assert np.abs(sol.v2 - ref["v2"]).max() <= 1e-10 * scale
@@ -115,11 +115,12 @@ def off_tree_net3(ends):
      lambda: off_tree_net3((1, 1))],
     ids=["absent_phase", "parallel", "reversed_parallel", "self_loop"],
 )
-def test_refused_coupling_is_the_dense_one(make):
+def test_refused_coupling_is_the_dense_one(make, monkeypatch):
     """A parallel branch shares its block with another; a self loop lands on the diagonal."""
     net3 = make()
+    monkeypatch.setattr("hostcap.sequence.COUPLING_LIMIT", 0.0)
     with pytest.raises(DecouplingError) as err:
-        solve_unbalanced_hc(net3, ConstraintSet(), coupling_threshold=0.0)
+        solve_unbalanced_hc(net3, ConstraintSet())
     assert err.value.coupling == sequence_ybus(build_ybus3(net3)).coupling
 
 
@@ -134,9 +135,9 @@ def per_branch_admittance(z):
 
 @pytest.mark.parametrize("name", CASES)
 def test_batched_admittances_are_bitwise_the_per_branch_inverse(name):
-    branches = CASES[name]().branches
-    ref = np.array([per_branch_admittance(br.z) for br in branches])
-    assert _branch_admittances(branches).tobytes() == ref.tobytes()
+    net3 = CASES[name]()
+    ref = np.array([per_branch_admittance(br.z) for br in net3.branches])
+    assert _branch_admittances(net3).tobytes() == ref.tobytes()
 
 
 def test_first_singular_block_in_branch_order_is_named(tmp_path, capsys):
