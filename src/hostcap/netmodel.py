@@ -512,7 +512,13 @@ def parse_case(text: str) -> Network:
 
 
 def serialize_case(network: Network) -> str:
-    """Render a network back to case-file text with full float precision."""
+    """Render a network back to case-file text with full float precision.
+
+    ``case_limits`` is written in the LIMITS record's order (v_min, v_max,
+    theta_max, eta), whatever the dict's order; a dict that record cannot
+    express (an unknown key, fewer than two values, or a gap) is refused
+    with ``ValueError``, as it would not parse back to itself.
+    """
     lines = [f"BASE {network.base_mva!r} {network.base_kv!r}"]
     for b in network.buses:
         lines.append(f"BUS {b.id} {b.kind} {b.load_p!r} {b.load_q!r} {b.lam!r}")
@@ -523,6 +529,9 @@ def serialize_case(network: Network) -> str:
         for bid, s in enumerate(network.shunts):
             if s != 0:
                 lines.append(f"SHUNT {bid} {s.real!r} {s.imag!r}")
-    if network.case_limits:
-        lines.append("LIMITS " + " ".join(repr(v) for v in network.case_limits.values()))
+    limits, names = network.case_limits, ("v_min", "v_max", "theta_max", "eta")
+    if limits is not None:
+        if len(limits) < 2 or set(limits) != set(names[: len(limits)]):
+            raise ValueError(f"a LIMITS record takes v_min, v_max, then theta_max and eta in turn, not {sorted(limits)}")
+        lines.append("LIMITS " + " ".join(repr(limits[name]) for name in names[: len(limits)]))
     return "\n".join(lines) + "\n"

@@ -69,8 +69,8 @@ __all__ = [
 CHUNK_ROWS = 200_000
 MAX_STEPS = 100_000  # ramp steps per bus in incremental_screening
 # Bound on grid_search_hc's work: the entries of its max-sum tables,
-# sum_b G_p G A (G A)^k_b with G_p = 1 under the slack, where k_b is bus b's
-# child count if b is a generator under a pf floor and 0 otherwise.
+# sum_b G_p G A (G A)^k_b with G_p the length of the parent's axis, where k_b
+# is bus b's child count if b is a generator under a pf floor and 0 otherwise.
 MAX_ENTRIES = 10**8
 
 
@@ -133,52 +133,52 @@ def grid_search_hc(network: Network, c: ConstraintSet, g: GridSpec) -> HCSolutio
     """Exact maximizer of the weighted objective over the feasible grid.
 
     Magnitudes of every free bus run over the box (corners included);
-    branch angle differences run over [-theta_max, theta_max].  No point's
-    phasors are formed: the objective is a constant plus one table per
-    branch in (a_p, a_c, delta_c) (see :func:`_branch_terms`), -inf where
-    the branch's thermal limit fails, and a pf floor (``c.eta``) is a mask
-    over each generator's closed neighbourhood.  Max-sum dynamic
-    programming over the tree (:func:`_max_sum`) maximizes that sum
-    exactly, with or without a pf floor, and ``MAX_ENTRIES`` bounds its
-    table entries.  One tie rule holds with or without one: of the bitwise-equal
-    maxima of a bus's joint table, given the states its parent fixed, the
-    first in C order over (its magnitude, its angle, then the magnitude and
-    angle of each child its pf couples to it) wins.
-
-    The chosen point's angles are rebuilt root-outward over the BFS order,
-    each bus adding its branch's delta to its parent's angle.
+    branch angle differences run over [-theta_max, theta_max].  These are
+    the free buses' axes of :func:`_max_sum`; the slack's are the one
+    point ``[slack_vm]`` and ``[0.0]``.  No point's phasors are formed: the
+    objective is a constant plus one table per branch in (a_p, a_c,
+    delta_c) (see :func:`_branch_terms`), -inf where the branch's thermal
+    limit fails, and a pf floor (``c.eta``) is a mask over each generator's
+    closed neighbourhood.  Max-sum dynamic programming over the tree
+    maximizes that sum exactly, with or without a pf floor, and
+    ``MAX_ENTRIES`` bounds its table entries.  One tie rule holds with or
+    without one: of the bitwise-equal maxima of a bus's joint table, given
+    the states its parent fixed, the first in C order over (its magnitude,
+    its angle, then the magnitude and angle of each child its pf couples to
+    it) wins.
     """
     parents, _, order = bfs_tree(network)
     mag_axis, ang_axis = _axes(c, g)
-    mags, deltas = _max_sum(network, c, parents, order, mag_axis, ang_axis)
-    angles = np.zeros(network.n)
-    for b in order[1:]:
-        angles[b] = angles[parents[b]] + deltas[b]
-    state = VoltageState(magnitudes=mags, angles=angles)
-    return finalize_solution(network, c, state, stage="grid_oracle")
+    mags, angs = [mag_axis] * network.n, [ang_axis] * network.n
+    mags[network.slack_index], angs[network.slack_index] = np.array([network.slack_vm]), np.array([0.0])
+    vm, va = _max_sum(network, c, parents.tolist(), order, mags, angs)
+    return finalize_solution(network, c, VoltageState(magnitudes=vm, angles=va), stage="grid_oracle")
 
 
-def _max_sum(network: Network, c: ConstraintSet, parents, order, mag_axis, ang_axis):
+def _max_sum(network: Network, c: ConstraintSet, parents, order, mags, angs):
     """Leaf-to-root max-sum over the tree, then a root-outward backtrack.
 
-    Bus b's joint table J_b is its branch table T_b(a_p, a_b, delta_b) of
-    :func:`_branch_terms` plus its children's messages, and b sends its
-    parent p the message m_b(a_p), the max of J_b over the rest.  A pf
-    floor adds one factor per generator b, over its closed neighbourhood
-    only: b's injection is its parent branch's child-end term plus each
-    child branch's parent-end term.  So under one, b's children keep their
-    own state and send M_d(a_b, a_d, delta_d); J_b spans (a_p, a_b, delta_b,
-    then each child's (a_d, delta_d)), is -inf where b's pf fails, and keeps
-    (a_p, a_b, delta_b) in its message when p is a generator too.  Every
-    factor then lies in one joint table and the tables still form a tree, so
-    the slack's inbox holds the grid optimum less the slack's constant term.
-    b's injection terms are summed in branch order, as a sum over all
-    branches would add them, so each pf verdict is the same bit for bit.
-    Each J_b is built in blocks of at most ``CHUNK_ROWS // 4`` entries, so
-    no array grows with the grid beyond the G G A entries of an M_d.
+    ``mags[b]`` and ``angs[b]`` are bus b's magnitude and delta_b axes, one
+    point each at the root.  Bus b's joint table J_b is its branch table
+    T_b(a_p, a_b, delta_b) of :func:`_branch_terms` plus its children's
+    messages, and b sends its parent p the message m_b(a_p), the max of J_b
+    over the rest.  A pf floor adds one factor per generator b, over its
+    closed neighbourhood only: b's injection is its parent branch's
+    child-end term plus each child branch's parent-end term.  So under one,
+    b's children keep their own state and send M_d(a_b, a_d, delta_d); J_b
+    spans (a_p, a_b, delta_b, then each child's (a_d, delta_d)), is -inf
+    where b's pf fails, and keeps (a_p, a_b, delta_b) in its message when p
+    is a generator too.  Every factor then lies in one joint table and the
+    tables still form a tree, so the root's inbox holds the grid optimum
+    less the root's constant term.  b's injection terms are summed in branch
+    order, as a sum over all branches would add them, so each pf verdict is
+    the same bit for bit.  Each J_b is built in blocks of at most
+    ``CHUNK_ROWS // 4`` entries, so no array grows with the grid beyond the
+    G_p G A entries of an M_d.  The backtrack gives each bus its magnitude
+    and its phasor angle, its parent's angle plus its delta, in BFS order.
     """
-    slack, n, n_mag, n_ang = network.slack_index, network.n, len(mag_axis), len(ang_axis)
-    n_x = n_mag * n_ang  # (magnitude, angle) states of a bus, magnitude-major
+    n, root = network.n, order[0]
+    n_mag, n_ang = list(map(len, mags)), list(map(len, angs))  # per bus: the lengths of its axes
     coupled = np.zeros(n, dtype=bool)  # generators under a pf floor
     if c.eta is not None:
         coupled[network.gens] = True
@@ -186,8 +186,8 @@ def _max_sum(network: Network, c: ConstraintSet, parents, order, mag_axis, ang_a
     for b in order[1:]:
         if coupled[parents[b]]:
             kept[parents[b]].append(b)
-    # J_b's dims: (a_p, a_b, delta_b), then each kept child's flat state
-    dims = {b: (1 if parents[b] == slack else n_mag, n_mag, n_ang) + (n_x,) * len(kept[b]) for b in order[1:]}
+    # J_b's dims: (a_p, a_b, delta_b), then each kept child's flat (magnitude, angle) state, magnitude-major
+    dims = {b: (n_mag[parents[b]], n_mag[b], n_ang[b], *[n_mag[ch] * n_ang[ch] for ch in kept[b]]) for b in order[1:]}
     work = sum(math.prod(d) for d in dims.values())
     if work > MAX_ENTRIES:
         count = f"{work:.3e}" if work < 1e308 else "over 1e308"  # a float cannot format a larger int
@@ -196,16 +196,14 @@ def _max_sum(network: Network, c: ConstraintSet, parents, order, mag_axis, ang_a
     branch_of = np.empty(n, dtype=int)
     branch_of[network.branch_child] = np.arange(network.branch_child.size)
     conj_diag = np.conj(_ybus_diagonal(network))
-    rot = np.exp(1j * ang_axis) if n_ang > 1 else None
-    slack_axis = np.array([network.slack_vm])
+    rots = {key: np.exp(1j * a) for key, a in {id(a): a for a in angs}.items() if len(a) > 1}  # e^{j delta}, per axis
     block = max(1, CHUNK_ROWS // 4)
-    inbox = np.zeros((n, n_mag))  # per bus and own magnitude index: the messages m_d of its children
+    inbox = np.zeros((n, max(n_mag)))  # per bus and own magnitude index: the messages m_d of its children
     # per bus a generator keeps: M_b and b's parent-end injection term, over (a_p, flat state);
     # per bus: the flat index of J_b's first maximum in each cell of its message
     msg, up, pick = [None] * n, [None] * n, [None] * n
     for b in reversed(order[1:]):
-        p, d = int(parents[b]), dims[b]
-        vp_axis = slack_axis if p == slack else mag_axis
+        p, d, rot = parents[b], dims[b], rots.get(id(angs[b]))
         r = 3 if coupled[p] else 1  # leading dims of J_b that b's message keeps
         k = r  # dims d[:k] are indexed per block, d[k:] broadcast whole
         while math.prod(d[k:]) > block:
@@ -229,13 +227,13 @@ def _max_sum(network: Network, c: ConstraintSet, parents, order, mag_axis, ang_a
                 if dim < k:
                     return table[ix[1], ix[dim]].reshape(lead)
                 shape = [1] * (1 + len(d) - k)
-                shape[0 if k > 1 else 1], shape[1 + dim - k] = -1, n_x
+                shape[0 if k > 1 else 1], shape[1 + dim - k] = -1, d[dim]
                 return (table[ix[1]] if k > 1 else table).reshape(shape)
 
-            ab = along(mag_axis, 1)
-            t, s_p, s = _branch_terms(network, int(branch_of[b]), p, b, along(vp_axis, 0), ab,
+            ab = along(mags[b], 1)
+            t, s_p, s = _branch_terms(network, int(branch_of[b]), p, b, along(mags[p], 0), ab,
                                       None if rot is None else along(rot, 2), conj_diag)
-            t = t + along(inbox[b], 1)
+            t = t + along(inbox[b, : d[1]], 1)
             if r == 3:
                 up[b][np.arange(start, stop) // per_cell] = s_p.reshape(-1)
             if coupled[b]:
@@ -263,22 +261,23 @@ def _max_sum(network: Network, c: ConstraintSet, parents, order, mag_axis, ang_a
         if r == 1:
             inbox[p, : d[0]] += top
         else:
-            msg[b], up[b] = top.reshape(n_mag, n_x), up[b].reshape(n_mag, n_x)
-    if inbox[slack, 0] == -math.inf:
+            msg[b], up[b] = top.reshape(d[0], -1), up[b].reshape(d[0], -1)
+    if inbox[root, 0] == -math.inf:
         raise InfeasibleError("no feasible grid point under the given constraints")
 
-    at = np.zeros(n, dtype=int)  # flat (magnitude, angle) index per bus
+    at, vm, va = [0] * n, np.empty(n), np.empty(n)  # at: flat (magnitude, angle) index per bus, Python ints
+    vm[root], va[root] = mags[root][0], angs[root][0]
     for b in order[1:]:
         p = parents[b]
-        a_p = 0 if p == slack else at[p] // n_ang
-        rest = int(pick[b][a_p * n_x + at[b] if coupled[p] else a_p])
+        a_p = at[p] // n_ang[p]
+        rest = int(pick[b][a_p * n_mag[b] * n_ang[b] + at[b] if coupled[p] else a_p])
         for ch in reversed(kept[b]):
-            rest, at[ch] = divmod(rest, n_x)
+            rest, at[ch] = divmod(rest, n_mag[ch] * n_ang[ch])
         if not coupled[p]:
             at[b] = rest
-    mags, deltas = mag_axis[at // n_ang], ang_axis[at % n_ang]
-    mags[slack], deltas[slack] = network.slack_vm, 0.0
-    return mags, deltas
+        i, j = divmod(at[b], n_ang[b])
+        vm[b], va[b] = mags[b][i], va[p] + angs[b][j]
+    return vm, va
 
 
 def _branch_terms(network: Network, bi: int, p: int, b: int, vp, ab, rot, conj_diag):

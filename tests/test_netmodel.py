@@ -1,5 +1,7 @@
 """Network model: parsing, admittance assembly, BFS tree and depth parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,32 @@ def test_limits_record_round_trips_to_cli_defaults():
     assert net.n == 3
     assert parse_case(serialize_case(net)).case_limits == parsed
     assert parse_case(text + "LIMITS 0.8 1.2\n").case_limits == parsed  # the first record counts
+
+
+@pytest.mark.parametrize("limits", [
+    {"v_max": 1.1, "v_min": 0.9},
+    {"eta": 0.97, "theta_max": 0.05, "v_max": 1.1, "v_min": 0.9},
+    {"v_min": 0.9, "theta_max": 0.05, "v_max": 1.1},
+])
+def test_limits_are_written_in_the_record_order(limits):
+    net = replace(parse_case(THREE_BUS), case_limits=limits)
+    back = parse_case(serialize_case(net)).case_limits
+    assert back == limits
+    assert list(back) == ["v_min", "v_max", "theta_max", "eta"][: len(limits)]
+
+
+@pytest.mark.parametrize("limits", [
+    {"v_min": 0.9, "v_max": 1.1, "eta": 0.9},  # a gap: it would parse back as theta_max
+    {"v_min": 0.9, "theta_max": 0.05},
+    {"v_min": 0.9},
+    {},
+    {"v_min": 0.9, "v_max": 1.1, "theta": 0.05},
+    {"v_min": 0.9, "v_max": 1.1, "theta_max": 0.05, "eta": 0.9, "extra": 1.0},
+])
+def test_limits_the_record_cannot_express_are_refused(limits):
+    net = replace(parse_case(THREE_BUS), case_limits=limits)
+    with pytest.raises(ValueError, match="a LIMITS record takes v_min, v_max"):
+        serialize_case(net)
 
 
 def test_shunt_round_trip():

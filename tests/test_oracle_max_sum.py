@@ -129,7 +129,7 @@ def test_max_sum_finds_a_verified_point_on_the_thermal_chain():
 @pytest.mark.xfail(
     strict=True,
     reason="adjust_thermal's held-side scan ends at HC -0.416, below the flat state's 0 "
-    "(ROADMAP items 1 and 3)",
+    "(ROADMAP items 1 and 22)",
 )
 def test_thermal_stage_is_no_worse_than_the_flat_state():
     # the all-1.0 zero-injection state is feasible with HC 0, and the grid oracle finds 1.2466
